@@ -60,11 +60,11 @@ bench:
 GATE_BENCH = BenchmarkCommitAllocs/workers=1$$|BenchmarkC3_OptimisticCommits/disjoint/workers=1$$
 GATE_TIME  = 300x
 
-# The streaming-executor plan benchmarks that gate the query path's
-# allocation budget (the C1 plan family over the 85-employee Acme set).
+# The streaming-executor plan benchmark that gates the query path's
+# allocation budget (the optimized C1 plan over the 85-employee Acme set).
 # Read-only queries don't grow history, but a fixed iteration count keeps
 # the gate cheap and deterministic anyway.
-QUERY_GATE_BENCH = BenchmarkC1_QueryPlans/(optimized|parallel)/employees=85$$
+QUERY_GATE_BENCH = BenchmarkC1_QueryPlans/optimized/employees=85$$
 QUERY_GATE_TIME  = 50x
 
 # bench-gate compares a fresh run against the committed commit_gate

@@ -127,7 +127,6 @@ func BenchmarkC1_QueryPlans(b *testing.B) {
 		runPlan("naive", func() ([]algebra.Tuple, algebra.Stats, error) { return naive.Exec(s.Core()) })
 		runPlan("pushdown", func() ([]algebra.Tuple, algebra.Stats, error) { return push.Exec(s.Core()) })
 		runPlan("optimized", func() ([]algebra.Tuple, algebra.Stats, error) { return opt.Exec(s.Core()) })
-		runPlan("parallel", func() ([]algebra.Tuple, algebra.Stats, error) { return opt.ExecParallel(s.Core(), 4) })
 	}
 }
 
@@ -239,13 +238,11 @@ func benchCounter(db *gemstone.DB, name string) uint64 {
 }
 
 // BenchmarkCommitAllocs is the commit hot path's memory ledger: the
-// tightest possible write-commit loop, run uncontended (workers=1, where
-// the idle-pipeline fast path must engage) and contended (workers=4,
-// where it must stay off and group commit must gather). B/op here is the
+// tightest possible write-commit loop, run uncontended (workers=1) and
+// contended (workers=4, where group commit must gather). B/op here is the
 // number the memory-diet work gates on in CI — it is machine-independent,
-// unlike ns/op on shared runners. The reported fastpath/op and
-// slabreuse/op metrics prove the two mechanisms engage: workers=1 wants
-// fastpath/op ~= 1, workers=4 wants ~0.
+// unlike ns/op on shared runners. The reported slabreuse/op metric proves
+// the store's write slabs are reused rather than regrown.
 func BenchmarkCommitAllocs(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -258,9 +255,8 @@ func BenchmarkCommitAllocs(b *testing.B) {
 			}
 			// Sessions are created before the clock starts and all workers
 			// drain one shared work counter, so the run has no straggler
-			// tail: a worker finishing early would leave the pipeline
-			// genuinely idle, and the fast path (correctly) engaging there
-			// would pollute the contended measurement.
+			// tail: a worker finishing early would leave the rest committing
+			// in smaller groups and pollute the contended measurement.
 			sessions := make([]*core.Session, workers)
 			for w := range sessions {
 				sess, err := db.Core().NewSession(gemstone.SystemUser, "swordfish")
@@ -269,7 +265,6 @@ func BenchmarkCommitAllocs(b *testing.B) {
 				}
 				sessions[w] = sess
 			}
-			fast0 := benchCounter(db, "txn.fastpath.commits")
 			reuse0 := benchCounter(db, "store.slab.reuses")
 			var left atomic.Int64
 			left.Store(int64(b.N))
@@ -296,7 +291,6 @@ func BenchmarkCommitAllocs(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			ops := float64(b.N)
-			b.ReportMetric(float64(benchCounter(db, "txn.fastpath.commits")-fast0)/ops, "fastpath/op")
 			b.ReportMetric(float64(benchCounter(db, "store.slab.reuses")-reuse0)/ops, "slabreuse/op")
 		})
 	}

@@ -109,8 +109,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("gemstone: installing OPAL image: %w", err)
 	}
 	// Retire the bootstrap session: left open it would pin the validation
-	// log forever and, camped on the published tip, force the first real
-	// commit off the idle-pipeline fast path.
+	// log forever.
 	sys.Close()
 	return db, nil
 }
@@ -237,25 +236,6 @@ func (se *Session) Query(src string) ([]Row, error) {
 // (for comparisons).
 func (se *Session) QueryNaive(src string) ([]Row, error) {
 	tuples, _, err := algebra.RunNaive(se.s, src)
-	if err != nil {
-		return nil, err
-	}
-	return rowsOf(tuples), nil
-}
-
-// QueryParallel executes the optimized plan with its outermost scan fanned
-// across a bounded worker pool (workers <= 0 selects the default). Results
-// are identical to Query, in the same order.
-func (se *Session) QueryParallel(src string, workers int) ([]Row, error) {
-	q, err := calculus.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	p, err := algebra.Optimize(q, se.s)
-	if err != nil {
-		return nil, err
-	}
-	tuples, _, err := p.ExecParallel(se.s, workers)
 	if err != nil {
 		return nil, err
 	}

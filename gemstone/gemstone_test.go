@@ -282,10 +282,9 @@ func TestHistoryAPI(t *testing.T) {
 
 // TestNoSessionLeaks pins the session-lifecycle invariant the sessionlife
 // analyzer checks statically: no public entry point leaves a transaction
-// pinned in the Transaction Manager. A leaked session camps on the
-// published tip, pins the validation log, and forces every later commit
-// off the idle-pipeline fast path — the bug class fixed in Open's and
-// Login's interpreter-error branches.
+// pinned in the Transaction Manager. A leaked session pins the validation
+// log, so it grows with every later commit — the bug class fixed in Open's
+// and Login's interpreter-error branches.
 func TestNoSessionLeaks(t *testing.T) {
 	db := openDB(t)
 	active := func() int { return db.Core().TxnManager().ActiveCount() }

@@ -48,12 +48,6 @@ type Stats struct {
 	PredEvals      int // selection predicate evaluations
 }
 
-func (s *Stats) add(o Stats) {
-	s.MembersScanned += o.MembersScanned
-	s.IndexProbes += o.IndexProbes
-	s.PredEvals += o.PredEvals
-}
-
 // frame is the executor's reusable slot-based binding environment. Each
 // scan/index-scan node owns one slot, assigned when the plan is built; a
 // node re-binds its slot in place for every row it emits, so extending a
@@ -83,20 +77,10 @@ func (f *frame) LookupVar(name string) (oop.OOP, bool) {
 	return oop.Invalid, false
 }
 
-// fanout tells one designated scan node to iterate a pre-materialized
-// member chunk instead of opening its own cursor — the mechanism behind
-// parallel execution, where the outermost scan's members are split into
-// contiguous chunks across a worker pool.
-type fanout struct {
-	node    Node
-	members []oop.OOP
-}
-
 type execCtx struct {
 	s     *core.Session
 	stats *Stats
 	frame *frame
-	fan   *fanout
 }
 
 // Node is a streaming algebra operator. compile builds the node's drive
@@ -145,14 +129,6 @@ func (n *scanNode) compile(ctx *execCtx, emit func() error) func() error {
 		return emit()
 	}
 	body := func() error {
-		if fan := ctx.fan; fan != nil && fan.node == Node(n) {
-			for _, m := range fan.members {
-				if err := cursor(m); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		src, err := calculus.Eval(ctx.s, n.source, ctx.frame)
 		if err != nil {
 			return err
@@ -402,18 +378,6 @@ func (p *Plan) newFrame(initial calculus.Binding) *frame {
 // Explain renders the plan.
 func (p *Plan) Explain() string { return Explain(p.root) }
 
-// ExplainParallel renders the plan annotated with the fan-out ExecParallel
-// would apply at the given worker count.
-func (p *Plan) ExplainParallel(workers int) string {
-	if workers <= 0 {
-		workers = DefaultParallelism
-	}
-	if _, ok := p.outerScan(); !ok {
-		return p.Explain() + "\n(parallel: outer node not fannable; serial fallback)"
-	}
-	return fmt.Sprintf("parallel workers=%d over outer scan\n%s", workers, p.Explain())
-}
-
 // Exec runs the plan in a session, returning result tuples and statistics.
 func (p *Plan) Exec(s *core.Session) ([]Tuple, Stats, error) {
 	return p.ExecWith(s, calculus.Binding{})
@@ -467,143 +431,4 @@ func (p *Plan) run(ctx *execCtx) ([]Tuple, error) {
 	}
 	p.scratch.Put(sc)
 	return out, nil
-}
-
-// DefaultParallelism is the worker count ExecParallel uses when the caller
-// passes workers <= 0.
-const DefaultParallelism = 4
-
-// outerScan returns the pipeline's bottom node when it is a plain scan —
-// the outermost loop, the only node worth fanning out. Plans whose bottom
-// is an index scan fall back to serial execution: a single directory probe
-// has no member stream to split.
-func (p *Plan) outerScan() (*scanNode, bool) {
-	var n Node = p.root
-	for {
-		switch t := n.(type) {
-		case *projectNode:
-			if t.input == nil {
-				return nil, false
-			}
-			n = t.input
-		case *selectNode:
-			if t.input == nil {
-				return nil, false
-			}
-			n = t.input
-		case *scanNode:
-			if t.input == nil {
-				return t, true
-			}
-			n = t.input
-		case *indexScanNode:
-			if t.input == nil {
-				return nil, false
-			}
-			n = t.input
-		default:
-			return nil, false
-		}
-	}
-}
-
-// ExecParallel runs the plan with the outermost scan fanned across a
-// bounded worker pool. Results and statistics are bit-identical to Exec:
-// workers own contiguous chunks of the outer member stream and are merged
-// in worker order, which reproduces the serial emission order exactly.
-func (p *Plan) ExecParallel(s *core.Session, workers int) ([]Tuple, Stats, error) {
-	return p.ExecParallelWith(s, calculus.Binding{}, workers)
-}
-
-// ExecParallelWith is ExecParallel with an initial binding. The parent
-// session is read-only for the duration: each worker runs on a ForkReader
-// whose recorded reads are absorbed back before returning, so optimistic
-// validation still covers everything the workers touched.
-func (p *Plan) ExecParallelWith(s *core.Session, initial calculus.Binding, workers int) ([]Tuple, Stats, error) {
-	if workers <= 0 {
-		workers = DefaultParallelism
-	}
-	outer, ok := p.outerScan()
-	if !ok || workers == 1 {
-		return p.ExecWith(s, initial)
-	}
-	// Resolve the outer source once and materialize only its member list —
-	// the one set that must be split into chunks.
-	src, err := calculus.Eval(s, outer.source, p.newFrame(initial))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if src.Kind == calculus.VNil {
-		return nil, Stats{}, nil
-	}
-	if src.Kind != calculus.VObj && src.Kind != calculus.VStr {
-		return nil, Stats{}, fmt.Errorf("algebra: range source %s is not a set", outer.source)
-	}
-	var members []oop.OOP
-	if err := s.MembersFunc(src.O, func(m oop.OOP) error {
-		members = append(members, m)
-		return nil
-	}); err != nil {
-		return nil, Stats{}, err
-	}
-	if workers > len(members) {
-		workers = len(members)
-	}
-	if workers <= 1 {
-		// Too little outer fan-in to be worth forking; still honour the
-		// already-materialized members through the fan path so the outer
-		// cursor is not opened twice.
-		ctx := &execCtx{s: s, stats: &Stats{}, frame: p.newFrame(initial),
-			fan: &fanout{node: outer, members: members}}
-		out, err := p.run(ctx)
-		return out, *ctx.stats, err
-	}
-	reg := s.DB().Obs()
-	reg.Counter("query.parallel.runs").Inc()
-	reg.Counter("query.parallel.workers").Add(uint64(workers))
-
-	type shard struct {
-		fork  *core.Session
-		out   []Tuple
-		stats Stats
-		err   error
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sh := &shards[w]
-		sh.fork = s.ForkReader()
-		chunk := members[w*len(members)/workers : (w+1)*len(members)/workers]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := &execCtx{
-				s:     sh.fork,
-				stats: &sh.stats,
-				frame: p.newFrame(initial),
-				fan:   &fanout{node: outer, members: chunk},
-			}
-			sh.out, sh.err = p.run(ctx)
-		}()
-	}
-	wg.Wait()
-	var stats Stats
-	total := 0
-	for w := range shards {
-		sh := &shards[w]
-		s.AbsorbReads(sh.fork)
-		if sh.err != nil {
-			return nil, stats, sh.err
-		}
-		total += len(sh.out)
-	}
-	out := make([]Tuple, 0, total)
-	for w := range shards {
-		stats.add(shards[w].stats)
-		out = append(out, shards[w].out...)
-	}
-	if total == 0 {
-		out = nil
-	}
-	return out, stats, nil
 }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -345,6 +346,53 @@ func TestExplainShapes(t *testing.T) {
 	// The optimized plan splits the conjunction into multiple selects.
 	if strings.Count(opt.Explain(), "select") < 2 {
 		t.Errorf("optimized explain should show pushdown:\n%s", opt.Explain())
+	}
+}
+
+// The join order must not flip as the data grows. Past ~1,070 employees the
+// filtered employee scan is estimated above the constant guessed for the
+// dependent d!Managers range; were cost alone to decide, pure fan-out would
+// go ahead of the filter and every (department, manager) pair would rescan
+// every employee.
+func TestJoinOrderStableWithDataSize(t *testing.T) {
+	s, _ := buildAcmeDB(t)
+	q, err := calculus.Parse(paperQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Optimize(q, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const employees = 1605
+	x, _ := s.Global("X")
+	emps, _, _ := s.Fetch(x, s.Symbol("Employees"))
+	k := s.DB().Kernel()
+	for i := 5; i < employees; i++ {
+		e, _ := s.NewObject(k.Dictionary)
+		depts, _ := s.NewObject(k.Set)
+		name, _ := s.NewString([]string{"Research", "Sales"}[i%2])
+		_, _ = s.AddToSet(depts, name)
+		_ = s.Store(e, s.Symbol("Salary"), oop.MustInt(int64(1000+i%50)))
+		_ = s.Store(e, s.Symbol("Depts"), depts)
+		_ = s.Store(emps, s.Symbol(fmt.Sprintf("F%d", i)), e)
+	}
+	large, err := Optimize(q, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if large.Explain() != small.Explain() {
+		t.Errorf("plan changed shape with data size:\n%s\nwas:\n%s", large.Explain(), small.Explain())
+	}
+	rows, stats, err := large.Exec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Errorf("rows = %d, want the fixture's 5", len(rows))
+	}
+	if stats.MembersScanned >= 20*employees {
+		t.Errorf("MembersScanned = %d, want < %d", stats.MembersScanned, 20*employees)
 	}
 }
 

@@ -119,39 +119,6 @@ func TestPlanningDoesNotScanMembers(t *testing.T) {
 
 // --- Streaming executor invariants ---
 
-// The parallel plan must be indistinguishable from the serial one: same
-// rows, same order, same stats — and it must report its fanout.
-func TestParallelMatchesSerialExactly(t *testing.T) {
-	s, _ := buildAcmeDB(t)
-	q, err := calculus.Parse(paperQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Optimize(q, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, sStats, err := plan.Exec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		par, pStats, err := plan.ExecParallel(s, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if pStats != sStats {
-			t.Errorf("workers=%d: stats %+v, serial %+v", workers, pStats, sStats)
-		}
-		if fmt.Sprint(par) != fmt.Sprint(serial) {
-			t.Errorf("workers=%d: rows diverge from serial (order-sensitive)", workers)
-		}
-	}
-	if ex := plan.ExplainParallel(4); !strings.Contains(ex, "parallel workers=4") {
-		t.Errorf("ExplainParallel:\n%s", ex)
-	}
-}
-
 // Prebound variables supplied via ExecWith stay visible through the slot
 // frame exactly as the old map-clone executor layered them.
 func TestExecWithPreboundBinding(t *testing.T) {
@@ -198,9 +165,9 @@ func canonical(ts []Tuple) string {
 }
 
 // TestRandomizedPlanEquivalence drives random queries over a random dataset
-// through every plan family — naive translate, pushdown-only, fully
-// optimized (with and without an index available), and parallel — and
-// insists they all compute the same relation.
+// through every plan family — naive translate, pushdown-only and fully
+// optimized (with and without an index available) — and insists they all
+// compute the same relation.
 func TestRandomizedPlanEquivalence(t *testing.T) {
 	s, _ := buildAcmeDB(t)
 	rng := rand.New(rand.NewSource(1984)) // fixed seed: reproducible failures
@@ -276,15 +243,10 @@ func TestRandomizedPlanEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("optimized %q: %v", src, err)
 			}
-			parRows, _, err := opt.ExecParallel(s, 1+len(src)%4)
-			if err != nil {
-				t.Fatalf("parallel %q: %v", src, err)
-			}
 			want := canonical(nRows)
 			for name, got := range map[string]string{
 				"pushdown": canonical(pRows),
 				"opt":      canonical(oRows),
-				"parallel": canonical(parRows),
 			} {
 				if got != want {
 					t.Errorf("index=%v %s diverges on %q:\n got %q\nwant %q", idx, name, src, got, want)

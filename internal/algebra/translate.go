@@ -32,8 +32,8 @@ func Translate(q *calculus.Query) (*Plan, error) {
 // Optimize converts a calculus query into an optimized plan:
 //
 //  1. Range reordering: ranges are scheduled greedily, respecting binding
-//     dependencies, preferring index-equipped scans, then smaller
-//     resolvable sets.
+//     dependencies, preferring ranges a predicate or directory filters
+//     over pure fan-out, then the smaller estimated result.
 //  2. Selection pushdown: each conjunct runs at the earliest point where
 //     all its variables are bound.
 //  3. Index selection: an equality or comparison between var!path and an
@@ -70,13 +70,17 @@ func OptimizeWithBound(q *calculus.Query, s *core.Session, prebound map[string]b
 		// greedy objective is the System-R style estimated cardinality of
 		// the intermediate result after adding the range and applying every
 		// conjunct it newly binds (default selectivities: equality 0.1,
-		// comparison 0.3, anything else 0.5) — so a selective predicate
-		// pulls its range forward, ahead of cheap but unfiltered dependent
-		// ranges.
+		// comparison 0.3, anything else 0.5). A range that filters — some
+		// unused conjunct newly applies, or a directory serves it — always
+		// goes ahead of one that is pure fan-out, whatever their estimates:
+		// fan-out scheduled first multiplies every later scan, and the
+		// constant guessed for a dependent range must not outbid a filter
+		// just because the filtered set has grown.
 		type candidate struct {
-			idx   int
-			cost  float64 // resulting estimated cardinality
-			index *indexCandidate
+			idx     int
+			cost    float64 // resulting estimated cardinality
+			filters bool
+			index   *indexCandidate
 		}
 		var best *candidate
 		for i, r := range remaining {
@@ -96,6 +100,7 @@ func OptimizeWithBound(q *calculus.Query, s *core.Session, prebound map[string]b
 			c := candidate{idx: i}
 			if ix := findIndexCandidate(s, r, bound, conjuncts, usedPred); ix != nil {
 				c.index = ix
+				c.filters = true
 				size = 1 // directory probe yields the matching members only
 			}
 			sel := 1.0
@@ -113,11 +118,12 @@ func OptimizeWithBound(q *calculus.Query, s *core.Session, prebound map[string]b
 					}
 				}
 				if applies {
+					c.filters = true
 					sel *= selectivity(cj)
 				}
 			}
 			c.cost = card * size * sel
-			if best == nil || c.cost < best.cost {
+			if best == nil || (c.filters && !best.filters) || (c.filters == best.filters && c.cost < best.cost) {
 				cc := c
 				best = &cc
 			}

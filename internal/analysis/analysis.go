@@ -37,8 +37,8 @@
 //	              take → use → put exactly once on every exit path, with
 //	              no use-after-put and no escape into caller-visible state
 //	sessionlife — sessions reach Close on every path out of the creating
-//	              function and are never used after; forked readers are
-//	              absorbed or closed (the bootstrap-session-leak class)
+//	              function and are never used after (the
+//	              bootstrap-session-leak class)
 //	ctxflow     — a function receiving a context.Context threads that
 //	              context to its context-taking callees: no
 //	              context.Background()/TODO() below entry points, no nil

@@ -8,19 +8,16 @@ import (
 // Sessionlife checks the session lifecycle from the paper's login model
 // (§3) as the repo implements it: a *Session born from NewSession must
 // reach Close on every path out of the creating function and never be used
-// after it (an open session pins the validation log, blocking the first
-// post-open solo commit — the exact gemstone.Open/CreateUser bootstrap
-// leak PR 7 fixed by hand), and a forked reader born from ForkReader must
-// be absorbed (AbsorbReads) or closed before the function returns.
+// after it (an open session pins the validation log — the exact
+// gemstone.Open/CreateUser bootstrap leak PR 7 fixed by hand).
 //
 // Conservatism rules (on top of the typestate engine's, see typestate.go):
 //
-//   - Births are calls to program functions named NewSession or ForkReader
-//     whose first result is a *Session (matched by shape, so fixtures and
-//     future session-like types participate); consumes are the Close
-//     method on a *Session value, AbsorbReads (first argument), and any
-//     program helper the consume summary proves closes its parameter on
-//     every return.
+//   - Births are calls to program functions named NewSession whose first
+//     result is a *Session (matched by shape, so fixtures and future
+//     session-like types participate); consumes are the Close method on a
+//     *Session value and any program helper the consume summary proves
+//     closes its parameter on every return.
 //   - Returning a session or storing it into caller-visible state is a
 //     silent ownership transfer, not a finding: constructors legitimately
 //     hand sessions to their callers, and the receiving layer owns the
@@ -31,7 +28,7 @@ import (
 func Sessionlife(paths ...string) *Analyzer {
 	return &Analyzer{
 		Name:  "sessionlife",
-		Doc:   "sessions reach Close on every path and are never used after; forked readers are absorbed or closed",
+		Doc:   "sessions reach Close on every path and are never used after",
 		Paths: paths,
 		Run:   runSessionlife,
 	}
@@ -63,48 +60,32 @@ func sessionlifeProtocol(prog *Program) *TSProtocol {
 			if fn == nil || prog.FuncOf(fn) == nil {
 				return "", 0, false
 			}
-			name := fn.Name()
-			if name != "NewSession" && name != "ForkReader" {
+			if fn.Name() != "NewSession" {
 				return "", 0, false
 			}
 			sig, ok := fn.Type().(*types.Signature)
 			if !ok || sig.Results().Len() == 0 || !isSessionPtr(sig.Results().At(0).Type()) {
 				return "", 0, false
 			}
-			if name == "ForkReader" {
-				return "forked reader from " + callName(call), 0, true
-			}
 			return "session from " + callName(call), 0, true
 		},
 		Consume: func(f *Func, call *ast.CallExpr) (ast.Expr, string, bool) {
 			fn := calleeFuncOf(f.Pkg.Info, call)
-			if fn == nil {
+			if fn == nil || fn.Name() != "Close" {
 				return nil, "", false
 			}
-			switch fn.Name() {
-			case "Close":
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return nil, "", false
-				}
-				if tv, ok := f.Pkg.Info.Types[sel.X]; !ok || !isSessionPtr(tv.Type) {
-					return nil, "", false
-				}
-				return sel.X, "closed", true
-			case "AbsorbReads":
-				if prog.FuncOf(fn) == nil || len(call.Args) != 1 {
-					return nil, "", false
-				}
-				if tv, ok := f.Pkg.Info.Types[call.Args[0]]; !ok || !isSessionPtr(tv.Type) {
-					return nil, "", false
-				}
-				return call.Args[0], "absorbed", true
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return nil, "", false
 			}
-			return nil, "", false
+			if tv, ok := f.Pkg.Info.Types[sel.X]; !ok || !isSessionPtr(tv.Type) {
+				return nil, "", false
+			}
+			return sel.X, "closed", true
 		},
 		EscapeIsFinding: false,
 		ReturnIsFinding: false,
 		Consumed:        "closed",
-		FixHint:         "close it before each exit or defer the close (forked readers: absorb or close)",
+		FixHint:         "close it before each exit or defer the close",
 	}
 }

@@ -3,22 +3,19 @@ package analysis
 import "testing"
 
 // sessionFixture is a miniature of internal/core's session shape: a DB
-// handing out owned *Sessions and forked readers.
+// handing out owned *Sessions.
 const sessionFixture = `package fx
 
 type Session struct{ open bool }
 
 func (s *Session) Close()              { s.open = false }
 func (s *Session) Execute(src string) error { return nil }
-func (s *Session) ForkReader() *Session { return &Session{open: true} }
 
 type DB struct{}
 
 func (db *DB) NewSession(user, password string) (*Session, error) {
 	return &Session{open: true}, nil
 }
-
-func (db *DB) AbsorbReads(fork *Session) {}
 `
 
 // TestSessionlifeLeak: a session that misses Close on an error path leaks
@@ -41,8 +38,8 @@ func Leaky(db *DB) error {
 	wantFindings(t, got, "not closed on every path")
 }
 
-// TestSessionlifeClean: deferred closes, absorbed forks, and ownership
-// transfer by return are all clean.
+// TestSessionlifeClean: deferred closes and ownership transfer by return
+// are all clean.
 func TestSessionlifeClean(t *testing.T) {
 	got := checkFixture(t, "fixt/sessclean", sessionFixture+`
 
@@ -53,16 +50,6 @@ func Deferred(db *DB) error {
 	}
 	defer s.Close()
 	return s.Execute("doIt")
-}
-
-func Forked(db *DB, s *Session) error {
-	fork := s.ForkReader()
-	if err := fork.Execute("scan"); err != nil {
-		fork.Close()
-		return err
-	}
-	db.AbsorbReads(fork)
-	return nil
 }
 
 func Transfer(db *DB) (*Session, error) {
@@ -100,7 +87,7 @@ func TransferWrapped(db *DB) (*Wrapper, error) {
 }
 
 // TestSessionlifeUseAfterClose: executing on a closed session is a
-// finding; so is a forked reader that is neither absorbed nor closed.
+// finding.
 func TestSessionlifeUseAfterClose(t *testing.T) {
 	got := checkFixture(t, "fixt/sessuse", sessionFixture+`
 
@@ -112,15 +99,8 @@ func UseAfterClose(db *DB) error {
 	s.Close()
 	return s.Execute("late") // use after close
 }
-
-func ForkLeak(s *Session) error {
-	fork := s.ForkReader()
-	return fork.Execute("scan") // fork neither absorbed nor closed
-}
 `, Sessionlife())
-	wantFindings(t, got,
-		"after it was already closed",
-		"not closed on every path")
+	wantFindings(t, got, "after it was already closed")
 }
 
 // TestSessionlifeWaiver: a session deliberately left open for the process

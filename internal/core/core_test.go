@@ -1006,3 +1006,98 @@ func TestCommitCrashRecoveryAtCoreLevel(t *testing.T) {
 		t.Errorf("directory missing retried entry: %v", got)
 	}
 }
+
+// Committed objects and maintained directories are shared by every session,
+// so reading them must not write. Two sessions meet on objects and a
+// directory neither has read since the database was reopened; -race fails
+// the test if an element fetch or an index probe stores anything.
+func TestConcurrentReadersOnReopenedDB(t *testing.T) {
+	const fields, members = 64, 32
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sysSession(t, db)
+	world, _ := s.Global("World")
+	names := make([]oop.OOP, fields)
+	for i := range names {
+		names[i] = s.Symbol(fmt.Sprintf("f%d", i))
+	}
+	acct, _ := s.NewObject(db.Kernel().Object)
+	for i, name := range names {
+		_ = s.Store(acct, name, oop.MustInt(int64(i)))
+	}
+	_ = s.Store(world, s.Symbol("acct"), acct)
+	// Objects that commit with no elements reopen with no index at all.
+	empties := make([]oop.OOP, fields)
+	for i := range empties {
+		empties[i], _ = s.NewObject(db.Kernel().Object)
+		_ = s.Store(world, s.Symbol(fmt.Sprintf("empty%d", i)), empties[i])
+	}
+	emps, _ := s.NewObject(db.Kernel().Set)
+	_ = s.Store(world, s.Symbol("emps"), emps)
+	for i := 0; i < members; i++ {
+		e, _ := s.NewObject(db.Kernel().Object)
+		_ = s.Store(e, s.Symbol("salary"), oop.MustInt(int64(i)))
+		_, _ = s.AddToSet(emps, e)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateIndex(emps, []string{"salary"}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	db.Close()
+
+	db, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Pull the objects into the shared cache without reading an element, so
+	// the readers below only take the cache's read lock and nothing orders
+	// one reader's first element access before the other's.
+	s = sysSession(t, db)
+	for _, o := range append([]oop.OOP{acct}, empties...) {
+		if _, err := s.Object(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	read := func(s *Session) error {
+		for i, name := range names {
+			v, ok, err := s.Fetch(acct, name)
+			if err != nil || !ok || v != oop.MustInt(int64(i)) {
+				return fmt.Errorf("acct!f%d = %v %v %v", i, v, ok, err)
+			}
+			if _, ok, err := s.Fetch(empties[i], name); err != nil || ok {
+				return fmt.Errorf("empty%d!f%d = %v %v", i, i, ok, err)
+			}
+		}
+		for i := 0; i < members; i++ {
+			if got, ok := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(float64(i))); !ok || len(got) != 1 {
+				return fmt.Errorf("lookup(%d) = %v %v", i, got, ok)
+			}
+		}
+		lo := directory.NumberKey(members / 2)
+		if got, ok := s.IndexRange(emps, []string{"salary"}, &lo, nil, true, true); !ok || len(got) != members/2 {
+			return fmt.Errorf("range(>= %d) = %d members %v", members/2, len(got), ok)
+		}
+		return nil
+	}
+	sessions := []*Session{sysSession(t, db), sysSession(t, db)}
+	errs := make(chan error, len(sessions))
+	for _, s := range sessions {
+		go func() { errs <- read(s) }()
+	}
+	for range sessions {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for _, s := range sessions {
+		s.Close()
+	}
+}

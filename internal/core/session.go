@@ -831,42 +831,6 @@ func (s *Session) MemberCount(set oop.OOP) (int, error) {
 	return n, nil
 }
 
-// ForkReader returns a read-only sibling of the session for use on another
-// goroutine during parallel query execution. The fork shares the committed
-// snapshot, time dial, workspace and transients (all accessed read-only)
-// but records its reads in a private set, because the optimistic read set
-// is a plain map the parent mutates on every tracked read. Neither the
-// parent nor any fork may write while forks are live; fold each fork's
-// reads back into the parent with AbsorbReads before committing.
-func (s *Session) ForkReader() *Session {
-	return &Session{
-		db:      s.db,
-		user:    s.user,
-		homeSeg: s.homeSeg,
-		tx:      s.tx,
-		dial:    s.dial,
-
-		ws:         s.ws,
-		transients: s.transients,
-		promoted:   s.promoted,
-		reads:      make(map[oop.OOP]struct{}),
-		writes:     make(map[oop.OOP]struct{}),
-
-		// Forks inherit the request context so a deadline cancels the
-		// parallel workers too; each fork polls independently.
-		ctx: s.ctx,
-	}
-}
-
-// AbsorbReads merges a ForkReader's recorded reads into this session's
-// optimistic read set, so validation still covers everything the parallel
-// workers looked at. Call it after the fork's goroutine has finished.
-func (s *Session) AbsorbReads(fork *Session) {
-	for o := range fork.reads {
-		s.reads[o] = struct{}{}
-	}
-}
-
 // Archive moves committed objects to the simulated offline medium
 // ("A database administrator can explicitly move objects to other media",
 // §6). Administrators only. While the archive is attached the objects stay

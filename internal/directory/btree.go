@@ -53,9 +53,8 @@ func (n *node) find(k Key) (int, bool) {
 // Index is an in-memory B-tree from keys to history-interval entries.
 // It supports insertion and interval closing but, by design, no deletion.
 type Index struct {
-	root    *node
-	nKeys   int
-	lookups uint64 // probe counter for experiment reporting
+	root  *node
+	nKeys int
 }
 
 // NewIndex creates an empty index.
@@ -63,9 +62,6 @@ func NewIndex() *Index { return &Index{root: &node{}} }
 
 // Keys returns the number of distinct keys.
 func (ix *Index) Keys() int { return ix.nKeys }
-
-// Lookups returns the number of Lookup/Range calls served.
-func (ix *Index) Lookups() uint64 { return ix.lookups }
 
 // Insert adds an entry under k.
 func (ix *Index) Insert(k Key, e Entry) {
@@ -160,7 +156,6 @@ func (ix *Index) Lookup(k Key, t oop.Time) []Entry {
 // without materializing a slice. Iteration stops at the first error, which
 // is returned.
 func (ix *Index) LookupFunc(k Key, t oop.Time, fn func(Entry) error) error {
-	ix.lookups++
 	n := ix.root
 	for {
 		i, found := n.find(k)
@@ -196,7 +191,6 @@ func (ix *Index) Range(lo, hi *Key, loInc, hiInc bool, t oop.Time) []Entry {
 // in ascending key order, without materializing a slice. Iteration stops at
 // the first error, which is returned.
 func (ix *Index) RangeFunc(lo, hi *Key, loInc, hiInc bool, t oop.Time, fn func(Entry) error) error {
-	ix.lookups++
 	return ix.walk(ix.root, lo, hi, loInc, hiInc, t, fn)
 }
 

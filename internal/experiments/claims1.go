@@ -26,9 +26,9 @@ import (
 // (selection pushdown + range reordering), sweeping database size. The
 // optimizer must win by a factor that grows with the data.
 func C1(w io.Writer) error {
-	fmt.Fprintln(w, "C1: declarative optimization — paper query: naive / pushdown-only / full / parallel plan")
-	fmt.Fprintf(w, "  %-10s %14s %14s %14s %14s %9s %13s %13s\n",
-		"employees", "naive ns/op", "pushdown ns", "full ns/op", "parallel ns", "speedup", "naive preds", "full preds")
+	fmt.Fprintln(w, "C1: declarative optimization — paper query: naive / pushdown-only / full plan")
+	fmt.Fprintf(w, "  %-10s %14s %14s %14s %9s %13s %13s\n",
+		"employees", "naive ns/op", "pushdown ns", "full ns/op", "speedup", "naive preds", "full preds")
 	prevSpeedup := 0.0
 	for _, extra := range []int{20, 80, 320} {
 		db, done, err := tempDB(gemstone.Options{})
@@ -92,30 +92,9 @@ func C1(w io.Writer) error {
 			done()
 			return err
 		}
-		// Parallel mode must agree with the serial plan row for row.
-		serialRows, _, err := optPlan.Exec(s.Core())
-		if err != nil {
-			done()
-			return err
-		}
-		parNS, err := timeIt(3, func() error {
-			rows, st, err := optPlan.ExecParallel(s.Core(), 4)
-			if err != nil {
-				return err
-			}
-			if len(rows) != len(serialRows) || st != oStats {
-				return fmt.Errorf("c1: parallel diverged: %d rows (serial %d), stats %+v vs %+v",
-					len(rows), len(serialRows), st, oStats)
-			}
-			return nil
-		})
-		if err != nil {
-			done()
-			return err
-		}
 		speedup := nNS / oNS
-		fmt.Fprintf(w, "  %-10d %14.0f %14.0f %14.0f %14.0f %8.1fx %13d %13d\n",
-			extra+5, nNS, pNS, oNS, parNS, speedup, nStats.PredEvals, oStats.PredEvals)
+		fmt.Fprintf(w, "  %-10d %14.0f %14.0f %14.0f %8.1fx %13d %13d\n",
+			extra+5, nNS, pNS, oNS, speedup, nStats.PredEvals, oStats.PredEvals)
 		if speedup < 1 {
 			done()
 			return fmt.Errorf("c1: optimizer slower than naive at %d employees", extra+5)

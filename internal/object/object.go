@@ -114,7 +114,8 @@ type ByteVersion struct {
 // Object is the unit of identity in the database: a labeled set of element
 // histories (or a versioned byte payload) plus a class reference and an
 // authorization segment. Objects are mutated only through the methods here
-// so the name index stays consistent.
+// so the name index mirrors elems at all times: reading an object never
+// writes to it, which is what lets every session share one committed copy.
 type Object struct {
 	OOP    oop.OOP
 	Class  oop.OOP
@@ -122,7 +123,7 @@ type Object struct {
 	Format Format
 
 	elems []Element
-	index map[oop.OOP]int // element name -> position in elems; built lazily
+	index map[oop.OOP]int // element name -> position in elems
 
 	byteHist []ByteVersion // only for FormatBytes
 }
@@ -139,19 +140,8 @@ func (ob *Object) Len() int { return len(ob.elems) }
 // histories directly; treat the result as read-only.
 func (ob *Object) Elements() []Element { return ob.elems }
 
-// buildIndex (re)builds the name index.
-func (ob *Object) buildIndex() {
-	ob.index = make(map[oop.OOP]int, len(ob.elems))
-	for i := range ob.elems {
-		ob.index[ob.elems[i].Name] = i
-	}
-}
-
 // Element returns the element with the given name, or nil if absent.
 func (ob *Object) Element(name oop.OOP) *Element {
-	if ob.index == nil {
-		ob.buildIndex()
-	}
 	i, ok := ob.index[name]
 	if !ok {
 		return nil
@@ -166,10 +156,11 @@ func (ob *Object) EnsureElement(name oop.OOP) *Element {
 	if e := ob.Element(name); e != nil {
 		return e
 	}
-	ob.elems = append(ob.elems, Element{Name: name})
-	if ob.index != nil {
-		ob.index[name] = len(ob.elems) - 1
+	if ob.index == nil {
+		ob.index = make(map[oop.OOP]int)
 	}
+	ob.index[name] = len(ob.elems)
+	ob.elems = append(ob.elems, Element{Name: name})
 	return &ob.elems[len(ob.elems)-1]
 }
 
@@ -296,11 +287,13 @@ func (ob *Object) Clone() *Object {
 	c := &Object{OOP: ob.OOP, Class: ob.Class, Seg: ob.Seg, Format: ob.Format}
 	if len(ob.elems) > 0 {
 		c.elems = make([]Element, len(ob.elems))
+		c.index = make(map[oop.OOP]int, len(ob.elems))
 		for i := range ob.elems {
 			c.elems[i] = Element{
 				Name: ob.elems[i].Name,
 				Hist: append([]Association(nil), ob.elems[i].Hist...),
 			}
+			c.index[ob.elems[i].Name] = i
 		}
 	}
 	if len(ob.byteHist) > 0 {

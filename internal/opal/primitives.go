@@ -1003,25 +1003,6 @@ func (in *Interp) rowsToCollection(rows []algebra.Tuple) (oop.OOP, error) {
 	return out, nil
 }
 
-// runQueryParallel executes a calculus query with the optimized plan's
-// outer scan fanned across the default worker pool. Results are identical
-// to runQuery's optimized mode.
-func (in *Interp) runQueryParallel(src string) (oop.OOP, error) {
-	q, err := calculus.Parse(src)
-	if err != nil {
-		return oop.Invalid, err
-	}
-	p, err := algebra.Optimize(q, in.s)
-	if err != nil {
-		return oop.Invalid, err
-	}
-	rows, _, err := p.ExecParallel(in.s, 0)
-	if err != nil {
-		return oop.Invalid, err
-	}
-	return in.rowsToCollection(rows)
-}
-
 // explainQuery returns the optimized plan for a query string.
 func (in *Interp) explainQuery(src string) (string, error) {
 	q, err := calculus.Parse(src)
@@ -1033,18 +1014,4 @@ func (in *Interp) explainQuery(src string) (string, error) {
 		return "", err
 	}
 	return p.Explain(), nil
-}
-
-// explainParallelQuery renders the optimized plan annotated with the
-// parallel fan-out the executor would apply.
-func (in *Interp) explainParallelQuery(src string) (string, error) {
-	q, err := calculus.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	p, err := algebra.Optimize(q, in.s)
-	if err != nil {
-		return "", err
-	}
-	return p.ExplainParallel(0), nil
 }

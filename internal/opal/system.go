@@ -257,30 +257,12 @@ func (in *Interp) installSystemPrims() {
 		}
 		return in.runQuery(src, true)
 	})
-	in.reg("SystemAccess", "queryParallel:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		src, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: queryParallel: needs a string")
-		}
-		return in.runQueryParallel(src)
-	})
 	in.reg("SystemAccess", "explain:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		src, ok := in.stringValue(a[0])
 		if !ok {
 			return oop.Invalid, fmt.Errorf("opal: explain: needs a string")
 		}
 		plan, err := in.explainQuery(src)
-		if err != nil {
-			return oop.Invalid, err
-		}
-		return in.s.NewString(plan)
-	})
-	in.reg("SystemAccess", "explainParallel:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		src, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: explainParallel: needs a string")
-		}
-		plan, err := in.explainParallelQuery(src)
 		if err != nil {
 			return oop.Invalid, err
 		}

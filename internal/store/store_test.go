@@ -355,17 +355,17 @@ func TestManyObjectsPastST80Limit(t *testing.T) {
 	}
 }
 
-func TestWriteGroupElevatorOrder(t *testing.T) {
+func TestWriteRunElevatorOrder(t *testing.T) {
 	s, _ := openTemp(t, Options{TrackSize: 1024})
 	defer s.Close()
 	tm := s.TrackManager()
 	first := tm.Allocate(10)
-	group := map[uint32][]byte{}
+	var run []TrackWrite
 	for i := 9; i >= 0; i-- { // presented in reverse
-		group[first+uint32(i)] = []byte{byte(i)}
+		run = append(run, TrackWrite{Track: first + uint32(i), Payload: []byte{byte(i)}})
 	}
 	tm.ResetStats()
-	if err := tm.WriteGroup(group); err != nil {
+	if err := tm.WriteRun(run); err != nil {
 		t.Fatal(err)
 	}
 	st := tm.Stats()

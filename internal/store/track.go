@@ -40,7 +40,7 @@ type TrackManager struct {
 	cacheCap int
 	scratch  []byte       // reusable whole-group track-image encode buffer
 	free     [][]byte     // recycled track buffers (cache images, read staging)
-	wbatch   []TrackWrite // reusable write batch for the map-keyed entry points
+	wbatch   []TrackWrite // reusable one-entry batch for WriteTrack
 
 	stats TrackStats
 	met   trackMetrics
@@ -222,21 +222,6 @@ func (tm *TrackManager) ResetStats() {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	tm.stats = TrackStats{}
-}
-
-// WriteGroup writes a set of tracks to every active arm. Map-keyed
-// convenience wrapper over WriteRun; the hot commit path builds
-// []TrackWrite batches directly and never pays for the map.
-func (tm *TrackManager) WriteGroup(group map[uint32][]byte) error {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	batch := tm.wbatch[:0]
-	for n, p := range group {
-		batch = append(batch, TrackWrite{Track: n, Payload: p})
-	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Track < batch[j].Track })
-	tm.wbatch = batch
-	return tm.writeRunLocked(batch)
 }
 
 // WriteRun writes a batch of tracks to every active arm, sorted ascending

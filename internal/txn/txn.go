@@ -91,17 +91,15 @@ type Manager struct {
 	lastPublished oop.Time   // durable, cache-visible high water
 	nextID        ID
 	active        map[ID]oop.Time      // id -> snapshot
-	snapCount     map[oop.Time]int     // active transactions per snapshot time
 	log           []commitRecord       // validated write sets, ascending time
 	recent        map[oop.OOP]oop.Time // newest logged write per OOP (mirrors log)
 	pending       []*Pending           // validated, awaiting the next group flush
 	lastGroup     int                  // size of the last flushed group (gathering heuristic)
 	stats         Stats
 
-	applier   Applier
-	flushTok  chan struct{} // capacity 1: holding the token = leading a flush
-	soloGroup [1]*Pending   // reusable group-of-one; owned by the flush-token holder
-	met       metrics
+	applier  Applier
+	flushTok chan struct{} // capacity 1: holding the token = leading a flush
+	met      metrics
 }
 
 // metrics are the manager's obs instruments. All fields are nil (no-op)
@@ -116,7 +114,6 @@ type metrics struct {
 	groupAborts    *obs.Counter // commits rolled back with a failed group
 	deadlineAborts *obs.Counter // commits abandoned pre-admission on an expired deadline
 	groups         *obs.Counter // durability groups flushed
-	fastpath       *obs.Counter // commits applied solo via the idle-pipeline fast path
 	groupSize      *obs.Histogram
 	gatherSpins    *obs.Histogram // yields spent gathering each group
 	validateNS     *obs.Histogram // admission: commit-lock wait + validation
@@ -135,7 +132,6 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 		groupAborts:    reg.Counter("txn.group.aborts"),
 		deadlineAborts: reg.Counter("txn.deadline.aborts"),
 		groups:         reg.Counter("txn.groups"),
-		fastpath:       reg.Counter("txn.fastpath.commits"),
 		groupSize:      reg.Histogram("txn.group.size", obs.SizeBounds),
 		gatherSpins:    reg.Histogram("txn.gather.spins", obs.SizeBounds),
 		validateNS:     reg.Histogram("txn.validate.ns", obs.LatencyBounds),
@@ -152,7 +148,6 @@ func NewManager(lastCommitted oop.Time, applier Applier) *Manager {
 		lastPublished: lastCommitted,
 		nextID:        1,
 		active:        make(map[ID]oop.Time),
-		snapCount:     make(map[oop.Time]int),
 		recent:        make(map[oop.OOP]oop.Time),
 		applier:       applier,
 		flushTok:      make(chan struct{}, 1),
@@ -168,7 +163,6 @@ func (m *Manager) Begin() Txn {
 	t := Txn{ID: m.nextID, Snapshot: m.lastPublished}
 	m.nextID++
 	m.active[t.ID] = t.Snapshot
-	m.snapCount[t.Snapshot]++
 	m.stats.Begun++
 	m.met.begun.Inc()
 	return t
@@ -198,24 +192,9 @@ func (m *Manager) CommitCtx(ctx context.Context, t Txn, reads, writes map[oop.OO
 			return 0, fmt.Errorf("txn: commit abandoned before admission: %w", err)
 		}
 	}
-	// Idle-pipeline fast path: when the flush token is free, nothing is
-	// gathering and no other transaction reads the published tip, this
-	// committer leads a group of one — skipping the pending handoff, the
-	// done-channel wakeup and the gather spin entirely. The token is held
-	// across admission and apply, so concurrent committers queue exactly as
-	// they would behind any other flush leader.
-	select {
-	case m.flushTok <- struct{}{}:
-		commit, done, err := m.commitSolo(t, reads, writes, payload)
-		<-m.flushTok
-		if done {
-			return commit, err
-		}
-	default:
-	}
 	sw := m.met.validateNS.Start()
 	m.mu.Lock()
-	commit, p, err := m.admitLocked(t, reads, writes, payload, false)
+	commit, p, err := m.admitLocked(t, reads, writes, payload)
 	m.mu.Unlock()
 	sw.Stop()
 	if err != nil || p == nil {
@@ -224,87 +203,10 @@ func (m *Manager) CommitCtx(ctx context.Context, t Txn, reads, writes map[oop.OO
 	return m.awaitGroup(p)
 }
 
-// commitSolo attempts the idle-pipeline fast path. The caller holds the
-// flush token. A false second result means the pipeline was not idle —
-// nothing was admitted, and the commit must take the gather path.
-func (m *Manager) commitSolo(t Txn, reads, writes map[oop.OOP]struct{}, payload any) (oop.Time, bool, error) {
-	sw := m.met.validateNS.Start()
-	m.mu.Lock()
-	idle := m.applier != nil && len(m.pending) == 0 && m.lastGroup <= 1 && !m.companyAtTipLocked(t)
-	if !idle {
-		m.mu.Unlock()
-		sw.Stop()
-		return 0, false, nil
-	}
-	commit, p, err := m.admitLocked(t, reads, writes, payload, true)
-	m.mu.Unlock()
-	sw.Stop()
-	if err != nil || p == nil {
-		return commit, true, err
-	}
-	if aerr := m.applySolo(p); aerr != nil {
-		return 0, true, aerr
-	}
-	if p.err != nil {
-		return 0, true, p.err
-	}
-	return commit, true, nil
-}
-
-// companyAtTipLocked reports whether any other active transaction reads
-// the published tip. Such company is about to validate against the same
-// state and would share a gathered group, so an idle-looking pipeline
-// with company at the tip still takes the group path — this is what keeps
-// the fast path off during the ramp of a contended burst, before
-// lastGroup has learned the new concurrency.
-func (m *Manager) companyAtTipLocked(t Txn) bool {
-	n := m.snapCount[m.lastPublished]
-	if snap, ok := m.active[t.ID]; ok && snap == m.lastPublished {
-		n--
-	}
-	return n > 0
-}
-
-// applySolo leads a group of one through the applier. The caller holds
-// the flush token; the reusable soloGroup array is owned by the token
-// holder, so no group slice is allocated. Failure rolls back the whole
-// unpublished tail exactly like a failed gathered group.
-func (m *Manager) applySolo(p *Pending) error {
-	m.soloGroup[0] = p
-	err := m.applier(m.soloGroup[:])
-	m.soloGroup[0] = nil
-	m.mu.Lock()
-	if err == nil {
-		m.lastPublished = p.Time
-		m.lastGroup = 1
-		m.stats.Groups++
-		m.stats.Committed++
-		m.met.groups.Inc()
-		m.met.commits.Inc()
-		m.met.fastpath.Inc()
-		m.met.groupSize.Observe(1)
-		m.trimLocked()
-		m.mu.Unlock()
-		return nil
-	}
-	tail := m.pending
-	m.pending = nil
-	m.rollbackUnpublishedLocked()
-	m.mu.Unlock()
-	m.met.groupAborts.Add(uint64(1 + len(tail)))
-	for _, q := range tail {
-		q.err = fmt.Errorf("%w: %v", ErrGroupAborted, err)
-		close(q.done)
-	}
-	return err
-}
-
 // admitLocked validates, assigns the transaction time and queues the write
 // set for the next durability group. A nil Pending means the commit
 // completed immediately (conflict, read-only, or no applier installed).
-// With solo set the Pending is returned unqueued and without a done
-// channel: the caller already leads its flush and resolves it inline.
-func (m *Manager) admitLocked(t Txn, reads, writes map[oop.OOP]struct{}, payload any, solo bool) (oop.Time, *Pending, error) {
+func (m *Manager) admitLocked(t Txn, reads, writes map[oop.OOP]struct{}, payload any) (oop.Time, *Pending, error) {
 	snap, ok := m.active[t.ID]
 	if !ok {
 		return 0, nil, fmt.Errorf("txn: transaction %d not active", t.ID)
@@ -367,9 +269,6 @@ func (m *Manager) admitLocked(t Txn, reads, writes map[oop.OOP]struct{}, payload
 		m.met.commits.Inc()
 		m.trimLocked()
 		return commit, nil, nil
-	}
-	if solo {
-		return commit, &Pending{Time: commit, Payload: payload}, nil
 	}
 	p := &Pending{Time: commit, Payload: payload, done: make(chan struct{})}
 	m.pending = append(m.pending, p)
@@ -502,13 +401,6 @@ func (m *Manager) Abort(t Txn) {
 
 // finishLocked retires a transaction and trims the validation log.
 func (m *Manager) finishLocked(id ID) {
-	if snap, ok := m.active[id]; ok {
-		if n := m.snapCount[snap] - 1; n > 0 {
-			m.snapCount[snap] = n
-		} else {
-			delete(m.snapCount, snap)
-		}
-	}
 	delete(m.active, id)
 	m.trimLocked()
 }

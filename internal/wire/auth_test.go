@@ -106,12 +106,10 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// txn.fastpath.commits: this connection's commit is the only writer,
-	// so it must take the idle-pipeline fast path. store.slab.grows:
-	// bootstrap alone allocates the commit scratch slabs. store.slab.reuses:
-	// any commit after bootstrap reuses them.
+	// store.slab.grows: bootstrap alone allocates the commit scratch slabs.
+	// store.slab.reuses: any commit after bootstrap reuses them.
 	for _, name := range []string{"txn.commits", "txn.begun", "wire.frames.in", "wire.bytes.in", "store.applies", "executor.logins",
-		"txn.fastpath.commits", "store.slab.reuses", "store.slab.grows"} {
+		"store.slab.reuses", "store.slab.grows"} {
 		if snap.Counter(name) == 0 {
 			t.Errorf("counter %s = 0 after login/execute/commit", name)
 		}
