@@ -12,6 +12,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -557,7 +558,7 @@ func BenchmarkC10_WorkingSet(b *testing.B) {
 // --- OPAL end-to-end benches (send dispatch, block iteration, queries) ---
 
 func BenchmarkOPAL(b *testing.B) {
-	_, s := openBenchDB(b)
+	db, s := openBenchDB(b)
 	s.MustRun(`Object subclass: 'Counter' instVarNames: #('n')`)
 	s.MustRun(`Counter compile: 'init n := 0'`)
 	s.MustRun(`Counter compile: 'bump n := n + 1. ^n'`)
@@ -578,4 +579,68 @@ func BenchmarkOPAL(b *testing.B) {
 			}
 		})
 	}
+
+	// Send cost vs class-hierarchy depth: noop is defined on Depth0 and
+	// sent, 100 times per op, to an instance d classes below it.
+	s.MustRun(`Object subclass: 'Depth0' instVarNames: #()`)
+	s.MustRun(`Depth0 compile: 'noop ^self'`)
+	for d := 1; d <= 16; d++ {
+		s.MustRun(fmt.Sprintf(`Depth%d subclass: 'Depth%d' instVarNames: #()`, d-1, d))
+	}
+	for _, d := range []int{0, 4, 16} {
+		src := fmt.Sprintf("| o | o := Depth%d new. 1 to: 100 do: [:i | o noop]. o", d)
+		b.Run(fmt.Sprintf("send-depth=%d", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
+	// gsload's vm_compute texts, one session per goroutine: run at -cpu 1,2
+	// it shows whether sessions computing in parallel scale with cores or
+	// contend on shared state.
+	s.MustRun(`Object subclass: 'BenchL0' instVarNames: #('n')`)
+	s.MustRun(`BenchL0 compile: 'bump n := (n isNil ifTrue: [0] ifFalse: [n]) + 1. ^n'`)
+	for d := 1; d <= 4; d++ {
+		s.MustRun(fmt.Sprintf(`BenchL%d subclass: 'BenchL%d' instVarNames: #()`, d-1, d))
+	}
+	s.MustRun(`| a | a := Array new: 200. 1 to: 200 do: [:i | a at: i put: i]. World at: #benchArr put: a`)
+	if _, err := s.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("vm_compute/parallel", func(b *testing.B) {
+		sessions := make([]*gemstone.Session, runtime.GOMAXPROCS(0))
+		for i := range sessions {
+			se, err := db.Login(gemstone.SystemUser, "swordfish")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer se.Close()
+			sessions[i] = se
+		}
+		var next atomic.Int32
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			se := sessions[next.Add(1)-1]
+			for i := 0; pb.Next(); i++ {
+				if _, err := se.Execute(vmComputeTexts[i%len(vmComputeTexts)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
+
+// vmComputeTexts are gsload's four vm_compute requests at their base sizes
+// (benchmark/workloads.go): a spin loop, 500 sends to an instance four
+// classes below the method's definer, and inject:into: and collect: over a
+// 200-element Array.
+var vmComputeTexts = []string{
+	"1 to: 4000 do: [:i | i]. 'ok'",
+	"| b | b := BenchL4 new. 1 to: 500 do: [:i | b bump]. b bump",
+	"| s | s := 0. 1 to: 10 do: [:k | s := World!benchArr inject: s into: [:a :x | a + x]]. s",
+	"| s | s := 0. 1 to: 4 do: [:k | s := (World!benchArr collect: [:x | x * 1]) inject: s into: [:a :x | a + x]]. s",
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/object"
 )
@@ -52,7 +53,7 @@ const SystemUser = "SystemUser"
 type segment struct {
 	owner string
 	world Privilege
-	users map[string]Privilege
+	users map[string]Privilege // never mutated once published: Grant copies
 }
 
 type user struct {
@@ -61,34 +62,78 @@ type user struct {
 	home     object.SegmentID // default segment for objects the user creates
 }
 
+// state is one immutable snapshot of the authorization tables. Readers use
+// it without a lock; a writer edits a clone and publishes that. Records are
+// values, and a segment's ACL map is replaced rather than written, so a
+// published snapshot never changes.
+type state struct {
+	users    map[string]user
+	segments map[object.SegmentID]segment
+	nextSeg  object.SegmentID
+}
+
+// clone copies the top-level tables; records are shared until replaced.
+func (st *state) clone() *state {
+	c := &state{
+		users:    make(map[string]user, len(st.users)+1),
+		segments: make(map[object.SegmentID]segment, len(st.segments)+1),
+		nextSeg:  st.nextSeg,
+	}
+	for n, u := range st.users {
+		c.users[n] = u
+	}
+	for id, s := range st.segments {
+		c.segments[id] = s
+	}
+	return c
+}
+
 // Authorizer is the in-memory authorization state. It is itself stored in
 // the database by the core package (as objects in the system segment) and
-// rebuilt on open; this type is the enforcement engine.
+// rebuilt on open; this type is the enforcement engine. Every check reads
+// the published snapshot and takes no lock; the rare administrative edits
+// copy it, edit the copy and publish it.
 type Authorizer struct {
-	mu       sync.RWMutex
-	users    map[string]*user
-	segments map[object.SegmentID]*segment
-	nextSeg  object.SegmentID
+	mu  sync.Mutex // serialises writers (update); readers never take it
+	cur atomic.Pointer[state]
+}
+
+func newAuthorizer(st *state) *Authorizer {
+	a := &Authorizer{}
+	a.cur.Store(st)
+	return a
 }
 
 // New creates an Authorizer with the system segment and the SystemUser
 // administrator (with the given password).
 func New(systemPassword string) *Authorizer {
-	a := &Authorizer{
-		users:    make(map[string]*user),
-		segments: make(map[object.SegmentID]*segment),
-		nextSeg:  1,
+	return newAuthorizer(&state{
+		users: map[string]user{
+			SystemUser: {passHash: sha256.Sum256([]byte(systemPassword)), admin: true, home: SystemSegment},
+		},
+		segments: map[object.SegmentID]segment{
+			SystemSegment: {owner: SystemUser, world: Read},
+		},
+		nextSeg: 1,
+	})
+}
+
+// update applies edit to a private copy of the current state and publishes
+// the copy if edit succeeds.
+func (a *Authorizer) update(edit func(st *state) error) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st := a.cur.Load().clone()
+	if err := edit(st); err != nil {
+		return err
 	}
-	a.users[SystemUser] = &user{passHash: sha256.Sum256([]byte(systemPassword)), admin: true, home: SystemSegment}
-	a.segments[SystemSegment] = &segment{owner: SystemUser, world: Read, users: map[string]Privilege{}}
-	return a
+	a.cur.Store(st)
+	return nil
 }
 
 // Authenticate verifies a name/password pair.
 func (a *Authorizer) Authenticate(name, password string) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	u, ok := a.users[name]
+	u, ok := a.cur.Load().users[name]
 	if !ok {
 		return ErrNoUser
 	}
@@ -102,82 +147,91 @@ func (a *Authorizer) Authenticate(name, password string) error {
 // CreateUser adds a user; only admins may call it (enforced by caller
 // passing the acting user).
 func (a *Authorizer) CreateUser(actor, name, password string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	actorU, ok := a.users[actor]
-	if !ok || !actorU.admin {
-		return fmt.Errorf("%w: %s cannot create users", ErrDenied, actor)
-	}
-	if _, dup := a.users[name]; dup {
-		return fmt.Errorf("auth: user %s already exists", name)
-	}
-	seg := a.nextSeg
-	a.nextSeg++
-	a.users[name] = &user{passHash: sha256.Sum256([]byte(password)), home: seg}
-	a.segments[seg] = &segment{owner: name, world: None, users: map[string]Privilege{}}
-	return nil
+	return a.update(func(st *state) error {
+		if !st.users[actor].admin {
+			return fmt.Errorf("%w: %s cannot create users", ErrDenied, actor)
+		}
+		if _, dup := st.users[name]; dup {
+			return fmt.Errorf("auth: user %s already exists", name)
+		}
+		seg := st.nextSeg
+		st.nextSeg++
+		st.users[name] = user{passHash: sha256.Sum256([]byte(password)), home: seg}
+		st.segments[seg] = segment{owner: name, world: None}
+		return nil
+	})
 }
 
 // CreateSegment adds a segment owned by actor, returning its id.
 func (a *Authorizer) CreateSegment(actor string, world Privilege) (object.SegmentID, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.users[actor]; !ok {
-		return 0, fmt.Errorf("%w: unknown user %s", ErrDenied, actor)
+	var seg object.SegmentID
+	err := a.update(func(st *state) error {
+		if _, ok := st.users[actor]; !ok {
+			return fmt.Errorf("%w: unknown user %s", ErrDenied, actor)
+		}
+		seg = st.nextSeg
+		st.nextSeg++
+		st.segments[seg] = segment{owner: actor, world: world}
+		return nil
+	})
+	return seg, err
+}
+
+// ownedSegment returns seg for an edit by actor, who must own it or be an
+// administrator.
+func (st *state) ownedSegment(actor string, seg object.SegmentID) (segment, error) {
+	s, ok := st.segments[seg]
+	if !ok {
+		return segment{}, fmt.Errorf("auth: no segment %d", seg)
 	}
-	seg := a.nextSeg
-	a.nextSeg++
-	a.segments[seg] = &segment{owner: actor, world: world, users: map[string]Privilege{}}
-	return seg, nil
+	if s.owner != actor && !st.users[actor].admin {
+		return segment{}, fmt.Errorf("%w: %s does not own segment %d", ErrDenied, actor, seg)
+	}
+	return s, nil
 }
 
 // Grant sets a user's privilege on a segment. Only the segment owner or an
 // admin may grant.
 func (a *Authorizer) Grant(actor string, seg object.SegmentID, name string, p Privilege) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s, ok := a.segments[seg]
-	if !ok {
-		return fmt.Errorf("auth: no segment %d", seg)
-	}
-	actorU := a.users[actor]
-	if s.owner != actor && (actorU == nil || !actorU.admin) {
-		return fmt.Errorf("%w: %s does not own segment %d", ErrDenied, actor, seg)
-	}
-	if _, ok := a.users[name]; !ok {
-		return fmt.Errorf("auth: no user %s", name)
-	}
-	s.users[name] = p
-	return nil
+	return a.update(func(st *state) error {
+		s, err := st.ownedSegment(actor, seg)
+		if err != nil {
+			return err
+		}
+		if _, ok := st.users[name]; !ok {
+			return fmt.Errorf("auth: no user %s", name)
+		}
+		acl := make(map[string]Privilege, len(s.users)+1)
+		for n, q := range s.users {
+			acl[n] = q
+		}
+		acl[name] = p
+		s.users = acl
+		st.segments[seg] = s
+		return nil
+	})
 }
 
 // SetWorld sets a segment's world (default) privilege.
 func (a *Authorizer) SetWorld(actor string, seg object.SegmentID, p Privilege) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s, ok := a.segments[seg]
-	if !ok {
-		return fmt.Errorf("auth: no segment %d", seg)
-	}
-	actorU := a.users[actor]
-	if s.owner != actor && (actorU == nil || !actorU.admin) {
-		return fmt.Errorf("%w: %s does not own segment %d", ErrDenied, actor, seg)
-	}
-	s.world = p
-	return nil
+	return a.update(func(st *state) error {
+		s, err := st.ownedSegment(actor, seg)
+		if err != nil {
+			return err
+		}
+		s.world = p
+		st.segments[seg] = s
+		return nil
+	})
 }
 
 // privilege computes the effective privilege of name on seg.
-func (a *Authorizer) privilege(name string, seg object.SegmentID) Privilege {
-	s, ok := a.segments[seg]
+func (st *state) privilege(name string, seg object.SegmentID) Privilege {
+	s, ok := st.segments[seg]
 	if !ok {
 		return None
 	}
-	u := a.users[name]
-	if u != nil && u.admin {
-		return Write
-	}
-	if s.owner == name {
+	if st.users[name].admin || s.owner == name {
 		return Write
 	}
 	if p, ok := s.users[name]; ok {
@@ -188,9 +242,7 @@ func (a *Authorizer) privilege(name string, seg object.SegmentID) Privilege {
 
 // CheckRead returns nil if name may read objects in seg.
 func (a *Authorizer) CheckRead(name string, seg object.SegmentID) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.privilege(name, seg) >= Read {
+	if a.cur.Load().privilege(name, seg) >= Read {
 		return nil
 	}
 	return fmt.Errorf("%w: %s cannot read segment %d", ErrDenied, name, seg)
@@ -198,9 +250,7 @@ func (a *Authorizer) CheckRead(name string, seg object.SegmentID) error {
 
 // CheckWrite returns nil if name may write objects in seg.
 func (a *Authorizer) CheckWrite(name string, seg object.SegmentID) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.privilege(name, seg) >= Write {
+	if a.cur.Load().privilege(name, seg) >= Write {
 		return nil
 	}
 	return fmt.Errorf("%w: %s cannot write segment %d", ErrDenied, name, seg)
@@ -208,9 +258,7 @@ func (a *Authorizer) CheckWrite(name string, seg object.SegmentID) error {
 
 // HomeSegment returns the default segment for objects created by name.
 func (a *Authorizer) HomeSegment(name string) (object.SegmentID, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	u, ok := a.users[name]
+	u, ok := a.cur.Load().users[name]
 	if !ok {
 		return 0, ErrNoUser
 	}
@@ -219,18 +267,14 @@ func (a *Authorizer) HomeSegment(name string) (object.SegmentID, error) {
 
 // IsAdmin reports whether name is an administrator.
 func (a *Authorizer) IsAdmin(name string) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	u, ok := a.users[name]
-	return ok && u.admin
+	return a.cur.Load().users[name].admin
 }
 
 // Users returns the known user names, sorted (for administrative listing).
 func (a *Authorizer) Users() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.users))
-	for n := range a.users {
+	st := a.cur.Load()
+	out := make([]string, 0, len(st.users))
+	for n := range st.users {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -272,14 +316,13 @@ type ACLEntry struct {
 // be identical for identical authorization state (maps — both Go's and
 // gob's — iterate in random order and may not leak into the encoding).
 func (a *Authorizer) Export() State {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	st := State{NextSeg: a.nextSeg}
-	for n, u := range a.users {
+	cur := a.cur.Load()
+	st := State{NextSeg: cur.nextSeg}
+	for n, u := range cur.users {
 		st.Users = append(st.Users, UserState{Name: n, Hash: u.passHash, Admin: u.admin, Home: u.home})
 	}
 	sort.Slice(st.Users, func(i, j int) bool { return st.Users[i].Name < st.Users[j].Name })
-	for id, s := range a.segments {
+	for id, s := range cur.segments {
 		acl := make([]ACLEntry, 0, len(s.users))
 		for n, p := range s.users {
 			acl = append(acl, ACLEntry{User: n, Priv: p})
@@ -293,20 +336,20 @@ func (a *Authorizer) Export() State {
 
 // Restore rebuilds an Authorizer from exported state.
 func Restore(st State) *Authorizer {
-	a := &Authorizer{
-		users:    make(map[string]*user, len(st.Users)),
-		segments: make(map[object.SegmentID]*segment, len(st.Segments)),
+	cur := &state{
+		users:    make(map[string]user, len(st.Users)),
+		segments: make(map[object.SegmentID]segment, len(st.Segments)),
 		nextSeg:  st.NextSeg,
 	}
 	for _, u := range st.Users {
-		a.users[u.Name] = &user{passHash: u.Hash, admin: u.Admin, home: u.Home}
+		cur.users[u.Name] = user{passHash: u.Hash, admin: u.Admin, home: u.Home}
 	}
 	for _, s := range st.Segments {
 		users := make(map[string]Privilege, len(s.ACL))
 		for _, e := range s.ACL {
 			users[e.User] = e.Priv
 		}
-		a.segments[s.ID] = &segment{owner: s.Owner, world: s.World, users: users}
+		cur.segments[s.ID] = segment{owner: s.Owner, world: s.World, users: users}
 	}
-	return a
+	return newAuthorizer(cur)
 }

@@ -61,11 +61,17 @@ type DB struct {
 	txm  *txn.Manager
 	auth *auth.Authorizer
 
-	mu        sync.RWMutex // guards cache, symByName, symByOOP, newSyms, dirs
-	cache     map[uint64]*object.Object
-	symByName map[string]oop.OOP
-	symByOOP  map[oop.OOP]string
-	newSyms   []oop.OOP // interned but not yet in the durable registry
+	// The shared read path takes no lock: cache, symByName and symByOOP
+	// only ever hold immutable values (a commit publishes a fresh object
+	// under a serial rather than editing one; a symbol is never re-bound),
+	// so a hit is a load. Writers still serialise on mu: commit publish,
+	// directory maintenance and symbol interning all store under it.
+	mu      sync.RWMutex // guards newSyms, dirs
+	newSyms []oop.OOP    // interned but not yet in the durable registry
+
+	cache     sync.Map // uint64 serial -> *object.Object, committed and immutable
+	symByName sync.Map // string -> oop.OOP
+	symByOOP  sync.Map // oop.OOP -> string
 
 	serialMu   sync.Mutex // guards nextSerial
 	nextSerial uint64
@@ -108,9 +114,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	meta := st.Meta()
 	db := &DB{
 		st:         st,
-		cache:      make(map[uint64]*object.Object),
-		symByName:  make(map[string]oop.OOP),
-		symByOOP:   make(map[oop.OOP]string),
 		nextSerial: meta.NextSerial,
 		obs:        reg,
 		met: coreMetrics{
@@ -145,6 +148,18 @@ func (db *DB) Close() error { return db.st.Close() }
 // Kernel returns the kernel class OOPs.
 func (db *DB) Kernel() Kernel { return db.kernel }
 
+// ClassSymbols are the element names of a class object, interned when the
+// database opens. The interpreter reads them on every send.
+type ClassSymbols struct {
+	Name, Superclass, InstVarNames, Methods oop.OOP
+}
+
+// ClassSymbols returns the interned element names of class objects.
+func (db *DB) ClassSymbols() ClassSymbols {
+	return ClassSymbols{Name: db.wk.name, Superclass: db.wk.superclass,
+		InstVarNames: db.wk.instVarNames, Methods: db.wk.methods}
+}
+
 // Store exposes the underlying track store (statistics, damage injection).
 func (db *DB) Store() *store.Store { return db.st }
 
@@ -172,39 +187,47 @@ func (db *DB) serialHighWater() uint64 {
 	return db.nextSerial
 }
 
+// cached returns the committed object cached under serial, if any.
+func (db *DB) cached(serial uint64) (*object.Object, bool) {
+	v, ok := db.cache.Load(serial)
+	if !ok {
+		return nil, false
+	}
+	return v.(*object.Object), true
+}
+
+// remember caches ob, just loaded from the store, unless another loader or
+// a commit's publish got there first; it returns the version that stays.
+func (db *DB) remember(ob *object.Object) *object.Object {
+	v, _ := db.cache.LoadOrStore(ob.OOP.Serial(), ob)
+	return v.(*object.Object)
+}
+
+// publish makes ob, a freshly committed version, the one readers load.
+// Writers call it with db.mu held, so publishes never interleave.
+func (db *DB) publish(ob *object.Object) { db.cache.Store(ob.OOP.Serial(), ob) }
+
 // loadCommitted returns the committed version of an object, via the shared
-// cache. The returned object is shared: callers must not mutate it.
+// cache. The returned object is shared: callers must not mutate it. A hit
+// takes no lock.
 func (db *DB) loadCommitted(o oop.OOP) (*object.Object, error) {
-	db.mu.RLock()
-	ob, ok := db.cache[o.Serial()]
-	db.mu.RUnlock()
-	if ok {
+	if ob, ok := db.cached(o.Serial()); ok {
 		return ob, nil
 	}
 	ob, err := db.st.Load(o)
 	if err != nil {
 		// Interned-but-not-yet-flushed symbols are readable immediately;
 		// synthesize the object the next commit will write.
-		db.mu.Lock()
-		if name, isSym := db.symByOOP[o]; isSym {
-			sym := object.New(o, db.kernel.Symbol, auth.SystemSegment, object.FormatBytes)
-			if serr := sym.SetBytes(0, []byte(name)); serr == nil {
-				db.cache[o.Serial()] = sym
-				db.mu.Unlock()
-				return sym, nil
-			}
+		name, isSym := db.SymbolName(o)
+		if !isSym {
+			return nil, err
 		}
-		db.mu.Unlock()
-		return nil, err
+		ob = object.New(o, db.kernel.Symbol, auth.SystemSegment, object.FormatBytes)
+		if serr := ob.SetBytes(0, []byte(name)); serr != nil {
+			return nil, err
+		}
 	}
-	db.mu.Lock()
-	if cached, ok := db.cache[o.Serial()]; ok {
-		ob = cached // another loader won
-	} else {
-		db.cache[o.Serial()] = ob
-	}
-	db.mu.Unlock()
-	return ob, nil
+	return db.remember(ob), nil
 }
 
 // --- Symbols ---
@@ -212,33 +235,35 @@ func (db *DB) loadCommitted(o oop.OOP) (*object.Object, error) {
 // SymbolFor interns a symbol, creating its durable object on first use.
 // Symbols are immutable and shared across sessions and transactions; new
 // ones are appended to the durable registry by the next commit (or Flush).
+// A name already interned is found without a lock.
 func (db *DB) SymbolFor(name string) oop.OOP {
+	if o, ok := db.symByName.Load(name); ok {
+		return o.(oop.OOP)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.symbolLocked(name)
 }
 
 func (db *DB) symbolLocked(name string) oop.OOP {
-	if o, ok := db.symByName[name]; ok {
-		return o
+	if o, ok := db.symByName.Load(name); ok {
+		return o.(oop.OOP)
 	}
-	db.serialMu.Lock()
-	serial := db.nextSerial
-	db.nextSerial++
-	db.serialMu.Unlock()
-	o := oop.FromSerial(serial)
-	db.symByName[name] = o
-	db.symByOOP[o] = name
+	o := oop.FromSerial(db.allocSerial())
+	// OOP -> name first: whoever finds the OOP by name can resolve it.
+	db.symByOOP.Store(o, name)
+	db.symByName.Store(name, o)
 	db.newSyms = append(db.newSyms, o)
 	return o
 }
 
-// SymbolName resolves a symbol OOP to its string.
+// SymbolName resolves a symbol OOP to its string, without a lock.
 func (db *DB) SymbolName(o oop.OOP) (string, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s, ok := db.symByOOP[o]
-	return s, ok
+	s, ok := db.symByOOP.Load(o)
+	if !ok {
+		return "", false
+	}
+	return s.(string), true
 }
 
 // takePendingSymbols drains the not-yet-durable symbols as objects to add
@@ -249,19 +274,14 @@ func (db *DB) takePendingSymbolsLocked() []*object.Object {
 		return nil
 	}
 	var out []*object.Object
-	reg, ok := db.cache[db.symReg.Serial()]
-	if !ok {
-		loaded, err := db.st.Load(db.symReg)
-		if err != nil {
-			panic(fmt.Sprintf("core: symbol registry unloadable: %v", err))
-		}
-		reg = loaded
-		db.cache[db.symReg.Serial()] = reg
+	reg, err := db.loadLocked(db.symReg)
+	if err != nil {
+		panic(fmt.Sprintf("core: symbol registry unloadable: %v", err))
 	}
 	reg = reg.Clone()
 	n := reg.Len()
 	for i, symOOP := range db.newSyms {
-		name := db.symByOOP[symOOP]
+		name, _ := db.SymbolName(symOOP)
 		symObj := object.New(symOOP, db.kernel.Symbol, auth.SystemSegment, object.FormatBytes)
 		// Symbols are timeless: their payload exists "from the beginning".
 		if err := symObj.SetBytes(0, []byte(name)); err != nil {

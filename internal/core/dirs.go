@@ -231,15 +231,14 @@ func sortedNames(members map[oop.OOP]memberInfo) []oop.OOP {
 
 // loadLocked loads a committed object while db.mu is held.
 func (db *DB) loadLocked(o oop.OOP) (*object.Object, error) {
-	if ob, ok := db.cache[o.Serial()]; ok {
+	if ob, ok := db.cached(o.Serial()); ok {
 		return ob, nil
 	}
 	ob, err := db.st.Load(o)
 	if err != nil {
 		return nil, err
 	}
-	db.cache[o.Serial()] = ob
-	return ob, nil
+	return db.remember(ob), nil
 }
 
 // maintainDirectoriesLocked is the Linker's directory pass, run just after
@@ -526,7 +525,7 @@ func (db *DB) internalApply(objs []*object.Object) error {
 	}
 	db.mu.Lock()
 	for _, ob := range objs {
-		db.cache[ob.OOP.Serial()] = ob
+		db.publish(ob)
 	}
 	db.mu.Unlock()
 	return nil

@@ -172,7 +172,7 @@ func (db *DB) bootstrap(systemPassword string) error {
 	// takePendingSymbolsLocked needs the registry in cache to clone it;
 	// seed the cache with the empty registry, then replace with the filled
 	// clone it returns.
-	db.cache[symReg.OOP.Serial()] = symReg
+	db.publish(symReg)
 	symObjs := db.takePendingSymbolsLocked()
 	db.mu.Unlock()
 	// The returned slice ends with the updated registry clone; drop our
@@ -195,7 +195,7 @@ func (db *DB) bootstrap(systemPassword string) error {
 	}
 	db.mu.Lock()
 	for _, ob := range batch {
-		db.cache[ob.OOP.Serial()] = ob
+		db.publish(ob)
 	}
 	db.mu.Unlock()
 	return nil
@@ -248,9 +248,9 @@ func (db *DB) reload() error {
 			return fmt.Errorf("core: symbol %v unloadable: %w", symOOP, err)
 		}
 		name := string(symObj.Bytes())
-		db.symByName[name] = symOOP
-		db.symByOOP[symOOP] = name
-		db.cache[symOOP.Serial()] = symObj
+		db.symByOOP.Store(symOOP, name)
+		db.symByName.Store(name, symOOP)
+		db.publish(symObj)
 	}
 	db.mu.Unlock()
 	db.internWellKnown()

@@ -598,7 +598,7 @@ func (s *Session) CommitKernel() error {
 	}
 	s.db.mu.Lock()
 	for _, ob := range batch {
-		s.db.cache[ob.OOP.Serial()] = ob
+		s.db.publish(ob)
 	}
 	s.db.mu.Unlock()
 	s.db.txm.Abort(s.tx)
@@ -687,7 +687,7 @@ func (db *DB) applyCommitGroup(group []*txn.Pending) error {
 	}
 	db.mu.Lock()
 	for _, ob := range batch {
-		db.cache[ob.OOP.Serial()] = ob
+		db.publish(ob)
 	}
 	// Directories see each member's post-commit state via the refreshed
 	// cache, maintained in commit order. A maintenance failure is reported

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/calculus"
+	"repro/internal/oop"
 )
 
 // Bytecodes of the OPAL abstract stack machine ("The Interpreter is an
@@ -41,7 +42,8 @@ type literal struct {
 	kind litKind
 	i    int64
 	f    float64
-	s    string // string/symbol/char/selector text
+	s    string  // string/symbol/char/selector text
+	sym  oop.OOP // lkSymbol, lkSelector: s resolved on first execution
 	arr  []literal
 	blk  *blockCode
 	calc *calcLit

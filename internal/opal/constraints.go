@@ -50,7 +50,7 @@ func (in *Interp) checkConstraint(obj, name, value oop.OOP) error {
 				return nil
 			}
 		}
-		sup, _, err := in.s.Fetch(c, in.wkSuper())
+		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 		if err != nil {
 			return err
 		}
@@ -64,7 +64,7 @@ func (in *Interp) valueIsKindOf(value, class oop.OOP) bool {
 		if c == class {
 			return true
 		}
-		sup, _, err := in.s.Fetch(c, in.wkSuper())
+		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 		if err != nil {
 			return false
 		}
@@ -119,7 +119,7 @@ func (in *Interp) installConstraintPrims() {
 					return want, nil
 				}
 			}
-			sup, _, err := in.s.Fetch(c, in.wkSuper())
+			sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 			if err != nil {
 				return oop.Invalid, err
 			}

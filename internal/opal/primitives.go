@@ -322,7 +322,7 @@ func (in *Interp) installPrimitives() {
 			if c == a[0] {
 				return oop.True, nil
 			}
-			sup, _, err := in.s.Fetch(c, in.wkSuper())
+			sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 			if err != nil {
 				return oop.Invalid, err
 			}
@@ -342,14 +342,15 @@ func (in *Interp) installPrimitives() {
 				return oop.False, nil
 			}
 		}
+		selSym := in.s.Symbol(sel)
 		for c := in.classOf(r); c.IsHeap(); {
-			if m, _, _ := in.methodIn(c, sel); m != nil {
+			if m, _, _ := in.methodIn(c, sel, selSym); m != nil {
 				return oop.True, nil
 			}
 			if _, ok := in.prims[primKey{class: c, selector: sel}]; ok {
 				return oop.True, nil
 			}
-			sup, _, err := in.s.Fetch(c, in.wkSuper())
+			sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 			if err != nil {
 				return oop.Invalid, err
 			}
@@ -716,15 +717,15 @@ func (in *Interp) installPrimitives() {
 		return in.instantiate(r, a[0].Int())
 	})
 	in.reg("Class", "name", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		v, _, err := in.s.Fetch(r, in.s.Symbol("name"))
+		v, _, err := in.s.Fetch(r, in.wk.Name)
 		return v, err
 	})
 	in.reg("Class", "superclass", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		v, _, err := in.s.Fetch(r, in.wkSuper())
+		v, _, err := in.s.Fetch(r, in.wk.Superclass)
 		return v, err
 	})
 	in.reg("Class", "instVarNames", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		v, _, err := in.s.Fetch(r, in.s.Symbol("instVarNames"))
+		v, _, err := in.s.Fetch(r, in.wk.InstVarNames)
 		return v, err
 	})
 	in.reg("Class", "comment:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -784,7 +785,7 @@ func (in *Interp) installPrimitives() {
 		if !ok {
 			return oop.Invalid, fmt.Errorf("opal: removeSelector: needs a symbol")
 		}
-		dict, _, err := in.s.Fetch(r, in.s.Symbol("methods"))
+		dict, _, err := in.s.Fetch(r, in.wk.Methods)
 		if err != nil {
 			return oop.Invalid, err
 		}
@@ -795,7 +796,7 @@ func (in *Interp) installPrimitives() {
 		return r, nil
 	})
 	in.reg("Class", "selectors", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		dict, ok, err := in.s.Fetch(r, in.s.Symbol("methods"))
+		dict, ok, err := in.s.Fetch(r, in.wk.Methods)
 		if err != nil || !ok {
 			return in.newArrayWith(nil)
 		}
@@ -858,14 +859,14 @@ func (in *Interp) defineClass(name string, super oop.OOP, ivars []string) (oop.O
 		if in.s.ClassOf(existing) != in.s.DB().Kernel().Class {
 			return oop.Invalid, fmt.Errorf("opal: global %q is not a class", name)
 		}
-		if err := in.s.Store(existing, in.wkSuper(), super); err != nil {
+		if err := in.s.Store(existing, in.wk.Superclass, super); err != nil {
 			return oop.Invalid, err
 		}
 		arr, err := in.symbolArray(ivars)
 		if err != nil {
 			return oop.Invalid, err
 		}
-		if err := in.s.Store(existing, in.s.Symbol("instVarNames"), arr); err != nil {
+		if err := in.s.Store(existing, in.wk.InstVarNames, arr); err != nil {
 			return oop.Invalid, err
 		}
 		in.cache = make(map[cacheKey]*cacheEntry)
@@ -876,17 +877,17 @@ func (in *Interp) defineClass(name string, super oop.OOP, ivars []string) (oop.O
 	if err != nil {
 		return oop.Invalid, err
 	}
-	if err := in.s.Store(cls, in.s.Symbol("name"), in.s.Symbol(name)); err != nil {
+	if err := in.s.Store(cls, in.wk.Name, in.s.Symbol(name)); err != nil {
 		return oop.Invalid, err
 	}
-	if err := in.s.Store(cls, in.wkSuper(), super); err != nil {
+	if err := in.s.Store(cls, in.wk.Superclass, super); err != nil {
 		return oop.Invalid, err
 	}
 	arr, err := in.symbolArray(ivars)
 	if err != nil {
 		return oop.Invalid, err
 	}
-	if err := in.s.Store(cls, in.s.Symbol("instVarNames"), arr); err != nil {
+	if err := in.s.Store(cls, in.wk.InstVarNames, arr); err != nil {
 		return oop.Invalid, err
 	}
 	// Instances share the superclass's storage format.
@@ -901,7 +902,7 @@ func (in *Interp) defineClass(name string, super oop.OOP, ivars []string) (oop.O
 	if err != nil {
 		return oop.Invalid, err
 	}
-	if err := in.s.Store(cls, in.s.Symbol("methods"), dict); err != nil {
+	if err := in.s.Store(cls, in.wk.Methods, dict); err != nil {
 		return oop.Invalid, err
 	}
 	if err := in.s.SetGlobal(name, cls); err != nil {
@@ -932,7 +933,7 @@ func (in *Interp) defineMethod(class oop.OOP, src string) (oop.OOP, error) {
 	if _, err := compileMethod(ast, src, ivars); err != nil {
 		return oop.Invalid, err
 	}
-	dict, ok, err := in.s.Fetch(class, in.s.Symbol("methods"))
+	dict, ok, err := in.s.Fetch(class, in.wk.Methods)
 	if err != nil {
 		return oop.Invalid, err
 	}
@@ -941,7 +942,7 @@ func (in *Interp) defineMethod(class oop.OOP, src string) (oop.OOP, error) {
 		if err != nil {
 			return oop.Invalid, err
 		}
-		if err := in.s.Store(class, in.s.Symbol("methods"), d); err != nil {
+		if err := in.s.Store(class, in.wk.Methods, d); err != nil {
 			return oop.Invalid, err
 		}
 		dict = d

@@ -60,8 +60,9 @@ func (in *Interp) printValue(v oop.OOP, depth int) (string, error) {
 // userPrintString invokes a printString METHOD (not the primitive) if one
 // is defined anywhere along the receiver's class chain.
 func (in *Interp) userPrintString(v oop.OOP) (string, bool, error) {
+	sel := in.s.Symbol("printString")
 	for c := in.classOf(v); c.IsHeap(); {
-		if m, _, err := in.methodIn(c, "printString"); err != nil {
+		if m, _, err := in.methodIn(c, "printString", sel); err != nil {
 			return "", false, err
 		} else if m != nil {
 			res, err := in.run(m, v, c, nil)
@@ -73,7 +74,7 @@ func (in *Interp) userPrintString(v oop.OOP) (string, bool, error) {
 			}
 			return "", false, fmt.Errorf("opal: printString returned a non-string")
 		}
-		sup, _, err := in.s.Fetch(c, in.wkSuper())
+		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 		if err != nil {
 			return "", false, err
 		}

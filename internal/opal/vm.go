@@ -49,8 +49,9 @@ type Interp struct {
 
 	prims     map[primKey]primFn
 	cache     map[cacheKey]*cacheEntry
-	blocks    map[uint64]*closure
-	nextTrans uint64
+	wk        core.ClassSymbols
+	blocks    map[uint64]*closure // the current request's closures
+	nextTrans uint64              // never reused, so a stale block OOP resolves to nothing
 	callDepth int
 	maxDepth  int
 	steps     uint64 // bytecodes executed; amortizes cancellation polling
@@ -85,6 +86,7 @@ func NewInterp(s *core.Session) (*Interp, error) {
 		s:         s,
 		prims:     make(map[primKey]primFn),
 		cache:     make(map[cacheKey]*cacheEntry),
+		wk:        s.DB().ClassSymbols(),
 		blocks:    make(map[uint64]*closure),
 		nextTrans: transientBase,
 		maxDepth:  2000,
@@ -108,6 +110,12 @@ func (in *Interp) TakeOutput() string {
 
 // Execute compiles and runs a block of OPAL source, returning the result.
 func (in *Interp) Execute(source string) (oop.OOP, error) {
+	// A request's blocks die with it: drop the previous request's closures,
+	// and the frames they pin, before this one registers its own. They stay
+	// until now so the previous result can still be printed.
+	if len(in.blocks) > 0 {
+		in.blocks = make(map[uint64]*closure)
+	}
 	ast, err := parseDoIt(source)
 	if err != nil {
 		return oop.Invalid, err
@@ -198,7 +206,7 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 		case opPushSelf:
 			push(fr.self)
 		case opPushLit:
-			v, err := in.litValue(lits[u16()])
+			v, err := in.litValue(&lits[u16()])
 			if err != nil {
 				return oop.Invalid, err
 			}
@@ -210,15 +218,13 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 			fr.temps[code[pc]] = fr.stack[len(fr.stack)-1]
 			pc++
 		case opPushIVar:
-			name := lits[u16()].s
-			v, _, err := in.s.Fetch(fr.self, in.s.Symbol(name))
+			v, _, err := in.s.Fetch(fr.self, in.litSym(&lits[u16()]))
 			if err != nil {
 				return oop.Invalid, err
 			}
 			push(v)
 		case opStoreIVar:
-			name := lits[u16()].s
-			sym := in.s.Symbol(name)
+			sym := in.litSym(&lits[u16()])
 			v := fr.stack[len(fr.stack)-1]
 			if err := in.checkConstraint(fr.self, sym, v); err != nil {
 				return oop.Invalid, err
@@ -238,7 +244,7 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 		case opDup:
 			push(fr.stack[len(fr.stack)-1])
 		case opSend, opSuperSend:
-			sel := lits[u16()].s
+			sel := &lits[u16()]
 			argc := int(code[pc])
 			pc++
 			args := make([]oop.OOP, argc)
@@ -248,7 +254,7 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 			recv := pop()
 			var startClass oop.OOP
 			if op == opSuperSend {
-				sup, _, err := in.s.Fetch(fr.selfCls, in.wkSuper())
+				sup, _, err := in.s.Fetch(fr.selfCls, in.wk.Superclass)
 				if err != nil {
 					return oop.Invalid, err
 				}
@@ -256,7 +262,7 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 			} else {
 				startClass = in.classOf(recv)
 			}
-			v, err := in.sendToClass(recv, startClass, sel, args)
+			v, err := in.sendToClass(recv, startClass, sel.s, in.litSym(sel), args)
 			if err != nil {
 				return oop.Invalid, err
 			}
@@ -288,7 +294,7 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 			}
 			panic(nonLocal{home: fr.home, val: v})
 		case opFetchElem:
-			key := lits[u16()].s
+			key := &lits[u16()]
 			obj := pop()
 			v, err := in.fetchElem(obj, key, nil)
 			if err != nil {
@@ -296,7 +302,7 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 			}
 			push(v)
 		case opFetchAt:
-			key := lits[u16()].s
+			key := &lits[u16()]
 			t := pop()
 			obj := pop()
 			v, err := in.fetchElem(obj, key, &t)
@@ -326,13 +332,13 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 			}
 			push(out)
 		case opStoreElem:
-			key := lits[u16()].s
+			key := &lits[u16()]
 			v := pop()
 			obj := pop()
 			if !obj.IsHeap() {
 				return oop.Invalid, fmt.Errorf("opal: cannot store element into %s", in.safePrint(obj))
 			}
-			name := in.segName(key)
+			name := in.litSym(key)
 			if err := in.checkConstraint(obj, name, v); err != nil {
 				return oop.Invalid, err
 			}
@@ -346,8 +352,6 @@ func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oo
 	return oop.Nil, nil
 }
 
-func (in *Interp) wkSuper() oop.OOP { return in.s.Symbol("superclass") }
-
 // segName converts a compiled path-segment key into an element-name OOP.
 func (in *Interp) segName(key string) oop.OOP {
 	if strings.HasPrefix(key, "\x00") {
@@ -357,11 +361,22 @@ func (in *Interp) segName(key string) oop.OOP {
 	return in.s.Symbol(key)
 }
 
-func (in *Interp) fetchElem(obj oop.OOP, key string, at *oop.OOP) (oop.OOP, error) {
-	if !obj.IsHeap() {
-		return oop.Invalid, fmt.Errorf("opal: cannot navigate %q from %s", key, in.safePrint(obj))
+// litSym resolves a selector, name or path-segment literal to its OOP on
+// first execution and caches it in the literal, so running the same code
+// again interns nothing. Literals belong to this interpreter's compiled
+// code, never to another session's.
+func (in *Interp) litSym(l *literal) oop.OOP {
+	if l.sym == oop.Invalid {
+		l.sym = in.segName(l.s)
 	}
-	name := in.segName(key)
+	return l.sym
+}
+
+func (in *Interp) fetchElem(obj oop.OOP, key *literal, at *oop.OOP) (oop.OOP, error) {
+	if !obj.IsHeap() {
+		return oop.Invalid, fmt.Errorf("opal: cannot navigate %q from %s", key.s, in.safePrint(obj))
+	}
+	name := in.litSym(key)
 	if at == nil {
 		v, _, err := in.s.Fetch(obj, name)
 		return v, err
@@ -387,7 +402,7 @@ func (in *Interp) blockFor(o oop.OOP) (*closure, bool) {
 }
 
 // litValue materializes a literal-pool entry as a runtime value.
-func (in *Interp) litValue(l literal) (oop.OOP, error) {
+func (in *Interp) litValue(l *literal) (oop.OOP, error) {
 	switch l.kind {
 	case lkInt:
 		v, ok := oop.FromInt(l.i)
@@ -400,7 +415,10 @@ func (in *Interp) litValue(l literal) (oop.OOP, error) {
 	case lkString:
 		return in.s.NewString(l.s)
 	case lkSymbol, lkSelector:
-		return in.s.Symbol(l.s), nil
+		if l.sym == oop.Invalid {
+			l.sym = in.s.Symbol(l.s)
+		}
+		return l.sym, nil
 	case lkChar:
 		return oop.FromChar([]rune(l.s)[0]), nil
 	case lkTrue:
@@ -414,8 +432,8 @@ func (in *Interp) litValue(l literal) (oop.OOP, error) {
 		if err != nil {
 			return oop.Invalid, err
 		}
-		for i, el := range l.arr {
-			v, err := in.litValue(el)
+		for i := range l.arr {
+			v, err := in.litValue(&l.arr[i])
 			if err != nil {
 				return oop.Invalid, err
 			}
@@ -432,7 +450,7 @@ func (in *Interp) litValue(l literal) (oop.OOP, error) {
 
 // Send dispatches a message from Go.
 func (in *Interp) Send(recv oop.OOP, selector string, args ...oop.OOP) (oop.OOP, error) {
-	return in.sendToClass(recv, in.classOf(recv), selector, args)
+	return in.sendToClass(recv, in.classOf(recv), selector, in.s.Symbol(selector), args)
 }
 
 // classOf resolves the class of any value, including VM-transient blocks.
@@ -446,12 +464,12 @@ func (in *Interp) classOf(v oop.OOP) oop.OOP {
 }
 
 // sendToClass performs method lookup starting at a class and invokes the
-// method (or primitive).
-func (in *Interp) sendToClass(recv, class oop.OOP, selector string, args []oop.OOP) (oop.OOP, error) {
+// method (or primitive). sel is the selector's symbol.
+func (in *Interp) sendToClass(recv, class oop.OOP, selector string, sel oop.OOP, args []oop.OOP) (oop.OOP, error) {
 	cls := class
 	for cls.IsHeap() {
 		// User-defined (or kernel OPAL) method first, then primitive.
-		if m, src, err := in.methodIn(cls, selector); err != nil {
+		if m, src, err := in.methodIn(cls, selector, sel); err != nil {
 			return oop.Invalid, err
 		} else if m != nil {
 			_ = src
@@ -460,7 +478,7 @@ func (in *Interp) sendToClass(recv, class oop.OOP, selector string, args []oop.O
 		if fn, ok := in.prims[primKey{class: cls, selector: selector}]; ok {
 			return fn(in, recv, args)
 		}
-		sup, _, err := in.s.Fetch(cls, in.wkSuper())
+		sup, _, err := in.s.Fetch(cls, in.wk.Superclass)
 		if err != nil {
 			return oop.Invalid, err
 		}
@@ -470,13 +488,13 @@ func (in *Interp) sendToClass(recv, class oop.OOP, selector string, args []oop.O
 }
 
 // methodIn returns the compiled method defined directly in class for
-// selector, if any, compiling and caching as needed.
-func (in *Interp) methodIn(class oop.OOP, selector string) (*compiledMethod, oop.OOP, error) {
-	dictOOP, ok, err := in.s.Fetch(class, in.s.Symbol("methods"))
+// selector (whose symbol is sel), if any, compiling and caching as needed.
+func (in *Interp) methodIn(class oop.OOP, selector string, sel oop.OOP) (*compiledMethod, oop.OOP, error) {
+	dictOOP, ok, err := in.s.Fetch(class, in.wk.Methods)
 	if err != nil || !ok || !dictOOP.IsHeap() {
 		return nil, oop.Invalid, err
 	}
-	srcOOP, ok, err := in.s.Fetch(dictOOP, in.s.Symbol(selector))
+	srcOOP, ok, err := in.s.Fetch(dictOOP, sel)
 	if err != nil || !ok || srcOOP == oop.Nil {
 		return nil, oop.Invalid, err
 	}
@@ -512,7 +530,7 @@ func (in *Interp) methodIn(class oop.OOP, selector string) (*compiledMethod, oop
 func (in *Interp) allInstVarNames(class oop.OOP) ([]string, error) {
 	var names []string
 	for c := class; c.IsHeap(); {
-		arr, ok, err := in.s.Fetch(c, in.s.Symbol("instVarNames"))
+		arr, ok, err := in.s.Fetch(c, in.wk.InstVarNames)
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +549,7 @@ func (in *Interp) allInstVarNames(class oop.OOP) ([]string, error) {
 				}
 			}
 		}
-		sup, _, err := in.s.Fetch(c, in.wkSuper())
+		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
 		if err != nil {
 			return nil, err
 		}
@@ -546,7 +564,7 @@ func (in *Interp) classNameOf(v oop.OOP) string {
 }
 
 func (in *Interp) classNameOfClass(cls oop.OOP) string {
-	nameSym, ok, err := in.s.Fetch(cls, in.s.Symbol("name"))
+	nameSym, ok, err := in.s.Fetch(cls, in.wk.Name)
 	if err != nil || !ok {
 		return cls.String()
 	}
