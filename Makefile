@@ -20,10 +20,9 @@ gslint:
 
 # gslint machine-checks the paper's implementation invariants (locking
 # discipline, deterministic serialization, commit-clock time, OOP identity,
-# lock-order deadlock freedom, cache-alias escapes, atomic-field access,
-# lock-release path coverage, goroutine lifecycles, durability error flow,
-# package-global mutable state). See DESIGN.md "Invariants & static
-# analysis".
+# lock-order deadlock freedom, lock-release path coverage, durability error
+# flow, pooled-buffer ownership, session lifecycles). See DESIGN.md
+# "Invariants & static analysis".
 lint: gslint
 	./bin/gslint ./...
 

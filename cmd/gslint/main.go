@@ -4,14 +4,9 @@
 //	go run ./cmd/gslint ./...
 //
 // It exits non-zero if any finding survives. See internal/analysis for the
-// analyzers (locksafe, detmap, wallclock, ooppure, lockorder, aliasret,
-// atomicfield, unlockpath, goroleak, errflow, globalstate, bufown,
-// sessionlife, ctxflow) and the //lint:ignore <analyzer> <reason>
-// suppression syntax.
-//
-// Packages are analyzed in parallel: whole-program phases run single-flight
-// once, the per-package passes fan across -parallel workers, and findings
-// are emitted in package load order — byte-identical to -parallel=1.
+// analyzers (locksafe, detmap, wallclock, ooppure, lockorder, unlockpath,
+// errflow, bufown, sessionlife) and the //lint:ignore <analyzer> <reason>
+// suppression syntax. Findings are emitted in package load order.
 //
 // Modes:
 //
@@ -21,10 +16,6 @@
 //	gslint -waivers ./...   audit listing of every //lint:ignore waiver
 //	                        with its reason (combine with -json)
 //	gslint -list            list analyzers and their package scopes
-//	gslint -parallel=N ...  cap the per-package worker fan-out (default
-//	                        GOMAXPROCS; 1 forces the serial loop)
-//	gslint -timing ...      report per-analyzer cumulative wall time to
-//	                        stderr after the run (parallel times overlap)
 package main
 
 import (
@@ -32,9 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 )
@@ -58,15 +47,13 @@ type jsonWaiver struct {
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default all)")
-		jsonOut  = flag.Bool("json", false, "emit findings (or waivers) as JSON")
-		waivers  = flag.Bool("waivers", false, "list every //lint:ignore waiver instead of running analyzers")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrent per-package passes (1 = serial)")
-		timing   = flag.Bool("timing", false, "report per-analyzer cumulative wall time to stderr")
+		list    = flag.Bool("list", false, "list analyzers and exit")
+		only    = flag.String("only", "", "comma-separated analyzer names to run (default all)")
+		jsonOut = flag.Bool("json", false, "emit findings (or waivers) as JSON")
+		waivers = flag.Bool("waivers", false, "list every //lint:ignore waiver instead of running analyzers")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gslint [-list] [-only a,b] [-json] [-waivers] [-parallel N] [-timing] packages...\n")
+		fmt.Fprintf(os.Stderr, "usage: gslint [-list] [-only a,b] [-json] [-waivers] packages...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -116,18 +103,7 @@ func main() {
 		return
 	}
 
-	prog := analysis.BuildProgram(pkgs)
-	var table *analysis.TimingTable
-	if *timing {
-		table = analysis.NewTimingTable()
-	}
-	all := analysis.RunAll(analyzers, prog, pkgs, *parallel, table)
-	if table != nil {
-		for _, row := range table.Rows() {
-			fmt.Fprintf(os.Stderr, "%-12s %12s\n", row.Analyzer, row.Elapsed.Round(10*time.Microsecond))
-		}
-	}
-
+	all := analysis.RunAll(analyzers, analysis.BuildProgram(pkgs), pkgs)
 	if *jsonOut {
 		out := make([]jsonFinding, 0, len(all))
 		for _, f := range all {

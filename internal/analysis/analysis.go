@@ -17,21 +17,12 @@
 //	lockorder   — the interprocedural lock-acquisition graph is cycle-free:
 //	              no two call chains can acquire the same pair of program
 //	              mutexes in opposite orders (deadlock freedom)
-//	aliasret    — functions never return or store an uncopied reference
-//	              into a receiver-owned map/slice element (the cache-buffer
-//	              aliasing bug class)
-//	atomicfield — a field accessed through sync/atomic anywhere is accessed
-//	              atomically everywhere; mixed plain loads/stores are races
 //	unlockpath  — every Lock/RLock is paired with a release on every path
 //	              out of the function (early returns, explicit panics),
 //	              interprocedurally through lock-effect summaries
-//	goroleak    — every go statement is tied to a lifecycle: WaitGroup,
-//	              done-channel, context, or a waivered daemon
 //	errflow     — error results born on the durability path (track/replica
 //	              writes, syncs, superblock flips) flow to a return, log,
 //	              or health transition — never _ or a dead assignment
-//	globalstate — no package-level mutable state outside waivered
-//	              registries (the shard-readiness check)
 //	bufown      — pooled buffers (sync.Pool, takePage/putPage,
 //	              popTrack/recycleLocked, the algebra runScratch) follow
 //	              take → use → put exactly once on every exit path, with
@@ -39,21 +30,16 @@
 //	sessionlife — sessions reach Close on every path out of the creating
 //	              function and are never used after (the
 //	              bootstrap-session-leak class)
-//	ctxflow     — a function receiving a context.Context threads that
-//	              context to its context-taking callees: no
-//	              context.Background()/TODO() below entry points, no nil
-//	              contexts, no silently dropped context parameter
 //
-// lockorder, aliasret, atomicfield, unlockpath, goroleak, errflow, bufown,
-// sessionlife and ctxflow are built on the whole-program layer (Program,
-// BuildProgram): a call graph over every loaded package plus per-function
-// lock and alias summaries, computed once per run and shared through
-// Pass.Prog. unlockpath and errflow additionally run path-sensitively over
-// per-function control-flow graphs (CFGOf) with the forward-dataflow
-// fixpoint solver (FlowSpec, Forward); bufown and sessionlife run the
-// typestate engine (typestate.go) — per-value finite state machines with
-// light alias tracking and interprocedural consume summaries — on the same
-// CFGs.
+// lockorder, unlockpath, errflow, bufown and sessionlife are built on the
+// whole-program layer (Program, BuildProgram): a call graph over every
+// loaded package plus per-function lock summaries, computed once per run
+// and shared through Pass.Prog. unlockpath and errflow additionally run
+// path-sensitively over per-function control-flow graphs (CFGOf) with the
+// forward-dataflow fixpoint solver (FlowSpec, Forward); bufown and
+// sessionlife run the typestate engine (typestate.go) — per-value finite
+// state machines with light alias tracking and interprocedural consume
+// summaries — on the same CFGs.
 //
 // Intentional exceptions are written in the source as
 //
@@ -250,6 +236,16 @@ func RunAnalyzers(analyzers []*Analyzer, prog *Program, target *Package) []Findi
 	return out
 }
 
+// RunAll applies the analyzers to every package of prog and returns the
+// surviving findings in package load order.
+func RunAll(analyzers []*Analyzer, prog *Program, pkgs []*Package) []Finding {
+	var all []Finding
+	for _, pkg := range pkgs {
+		all = append(all, RunAnalyzers(analyzers, prog, pkg)...)
+	}
+	return all
+}
+
 func analyzerNamed(analyzers []*Analyzer, name string) *Analyzer {
 	for _, a := range analyzers {
 		if a.Name == name {
@@ -285,10 +281,7 @@ func All() []*Analyzer {
 		Wallclock("repro/internal/oop", "repro/internal/txn", "repro/internal/store", "repro/internal/core", "repro/internal/object", "repro/internal/wire", "repro/internal/iofault"),
 		Ooppure("repro/internal/oop"),
 		Lockorder(),
-		Aliasret("repro/internal"),
-		Atomicfield(),
 		Unlockpath(),
-		Goroleak(),
 		// The testdata/seeded path keeps the scoped analyzer live on the
 		// seeded-bug fixtures CI loads explicitly (the linter's linter);
 		// `./...` never matches a testdata directory, so it is inert in
@@ -299,13 +292,10 @@ func All() []*Analyzer {
 		// injection there (DamageTrack) must still be checked — triage
 		// fixed those by hand; see claims2.go.
 		Errflow("repro/cmd/gemstone", "repro/internal/store", "repro/internal/txn", "repro/internal/core", "repro/internal/wire", "repro/internal/executor", "repro/internal/iofault", "repro/internal/analysis/testdata/seeded"),
-		Globalstate(),
 		// bufown is scoped to the packages that own pools (plus the seeded
-		// canaries); sessionlife and ctxflow run everywhere sessions and
-		// contexts flow.
+		// canaries); sessionlife runs everywhere sessions flow.
 		Bufown("repro/internal/store", "repro/internal/algebra", "repro/internal/txn", "repro/internal/analysis/testdata/seeded"),
 		Sessionlife(),
-		Ctxflow(),
 	}
 }
 

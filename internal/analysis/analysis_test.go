@@ -32,12 +32,7 @@ type fixturePkg struct {
 func checkFixtures(t *testing.T, fixtures []fixturePkg, analyzers ...*Analyzer) []Finding {
 	t.Helper()
 	pkgs := fixturePackages(t, fixtures)
-	prog := BuildProgram(pkgs)
-	var out []Finding
-	for _, pkg := range pkgs {
-		out = append(out, RunAnalyzers(analyzers, prog, pkg)...)
-	}
-	return out
+	return RunAll(analyzers, BuildProgram(pkgs), pkgs)
 }
 
 // fixturePackages parses and type-checks the fixture packages in order,

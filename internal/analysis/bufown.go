@@ -10,9 +10,8 @@ import (
 // buffers, the algebra executor's runScratch — must be returned to its
 // pool exactly once on every path out of the taking function, never used
 // after it was returned, and never stored into caller-visible state (the
-// static generalization of the aliasret pool-escape canary and the -race
-// pool churn test: "pool ∩ pageCache = ∅", "callers always get private
-// copies").
+// static generalization of the -race pool churn test: "pool ∩ pageCache =
+// ∅", "callers always get private copies").
 //
 // Conservatism rules (on top of the typestate engine's, see typestate.go):
 //

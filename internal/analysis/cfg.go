@@ -64,15 +64,8 @@ func (c *CFG) ExitPreds() []*Block {
 }
 
 // CFGOf returns the control-flow graph of f's body, built on first use
-// and cached for every analyzer in the run. Safe for concurrent passes;
-// construction is serialized, which is cheap (one AST walk per body) next
-// to the flow analyses run over the result.
+// and cached for every analyzer in the run.
 func (p *Program) CFGOf(f *Func) *CFG {
-	p.cfgMu.Lock()
-	defer p.cfgMu.Unlock()
-	if p.cfgs == nil {
-		p.cfgs = make(map[*Func]*CFG)
-	}
 	if c, ok := p.cfgs[f]; ok {
 		return c
 	}

@@ -138,7 +138,6 @@ type acquireIndex struct {
 
 func (a *acquireIndex) of(f *Func) map[string]*acquireInfo {
 	if m, ok := a.memo[f]; ok {
-		//lint:ignore aliasret memoized summaries are immutable once computed; callers only read
 		return m
 	}
 	if a.on[f] {

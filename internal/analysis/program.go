@@ -7,14 +7,14 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Program is gslint's whole-program layer: every loaded package, a
 // conservative call graph over them, and per-function summaries (lock
 // acquisitions/releases, call sites) that the interprocedural analyzers
-// (lockorder, aliasret, atomicfield) build on. It is constructed once per
-// gslint run by BuildProgram and handed to every Pass.
+// (lockorder, unlockpath, errflow, bufown, sessionlife) build on. It is
+// constructed once per gslint run by BuildProgram and handed to every
+// Pass.
 //
 // Conservatism rules (what the call graph over- and under-approximates):
 //
@@ -49,17 +49,8 @@ type Program struct {
 	named   []*types.Named          // program-defined named types
 	taken   map[string][]*Func      // sigKey -> address-taken functions
 	ifaceMu map[ifaceMethod][]*Func // interface dispatch cache
-	memoMu  sync.Mutex
-	memo    map[string]*memoEntry // per-analyzer whole-program results
-	cfgMu   sync.Mutex
-	cfgs    map[*Func]*CFG // lazily built control-flow graphs
-}
-
-// memoEntry is one single-flight Once slot: the first caller computes while
-// later callers for the same key block on done.
-type memoEntry struct {
-	done chan struct{}
-	v    any
+	memo    map[string]any          // per-analyzer whole-program results
+	cfgs    map[*Func]*CFG          // lazily built control-flow graphs
 }
 
 type ifaceMethod struct {
@@ -133,7 +124,8 @@ func BuildProgram(pkgs []*Package) *Program {
 		byPath:  make(map[string]*Package),
 		taken:   make(map[string][]*Func),
 		ifaceMu: make(map[ifaceMethod][]*Func),
-		memo:    make(map[string]*memoEntry),
+		memo:    make(map[string]any),
+		cfgs:    make(map[*Func]*CFG),
 	}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
@@ -170,22 +162,14 @@ func (p *Program) FuncOf(fn *types.Func) *Func {
 
 // Once computes a whole-program result at most once per run. Analyzers
 // that work globally use it so each per-package pass replays one shared
-// computation instead of re-deriving it. Safe for concurrent passes: the
-// first caller for a key computes, later callers block until it finishes
-// (single-flight), so the parallel driver never duplicates a global phase.
+// computation instead of re-deriving it.
 func (p *Program) Once(key string, compute func() any) any {
-	p.memoMu.Lock()
-	if e, ok := p.memo[key]; ok {
-		p.memoMu.Unlock()
-		<-e.done
-		return e.v
+	if v, ok := p.memo[key]; ok {
+		return v
 	}
-	e := &memoEntry{done: make(chan struct{})}
-	p.memo[key] = e
-	p.memoMu.Unlock()
-	e.v = compute()
-	close(e.done)
-	return e.v
+	v := compute()
+	p.memo[key] = v
+	return v
 }
 
 // collectFile creates Func nodes for a file's declarations, including
@@ -578,7 +562,6 @@ func (p *Program) resolveCall(pkg *Package, call *ast.CallExpr) (Call, bool) {
 func (p *Program) implementers(iface *types.Interface, m *types.Func) []*Func {
 	key := ifaceMethod{iface: iface, name: m.Name()}
 	if cached, ok := p.ifaceMu[key]; ok {
-		//lint:ignore aliasret the dispatch cache is immutable once computed; callers only read
 		return cached
 	}
 	var out []*Func

@@ -5,10 +5,10 @@ import (
 )
 
 // TestRepoIsClean runs the full production analyzer set — including the
-// whole-program lockorder/aliasret/atomicfield passes — over the real
-// repository and asserts zero findings, exactly like `make lint`. A
-// failure here means a change introduced an invariant violation (or a
-// waiver went stale).
+// whole-program lockorder/unlockpath/errflow/bufown/sessionlife passes —
+// over the real repository and asserts zero findings, exactly like `make
+// lint`. A failure here means a change introduced an invariant violation
+// (or a waiver went stale).
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole repository")
@@ -20,21 +20,17 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("no packages loaded")
 	}
-	prog := BuildProgram(pkgs)
-	analyzers := All()
-	for _, pkg := range pkgs {
-		for _, f := range RunAnalyzers(analyzers, prog, pkg) {
-			t.Errorf("%s", f)
-		}
+	for _, f := range RunAll(All(), BuildProgram(pkgs), pkgs) {
+		t.Errorf("%s", f)
 	}
 }
 
 // TestSeededFixturesFire is the linter's linter: it loads the
 // deliberately buggy testdata/seeded package (invisible to `./...`) and
 // asserts every gated analyzer trips on its specimen — proof the
-// production analyzer set still detects the bug classes it gates,
-// including the aliasret pool-escape class the commit-path slabs depend
-// on. CI runs the same check against the built gslint binary.
+// production analyzer set still detects the bug classes it gates. CI runs
+// the built gslint binary against the same package and requires a
+// non-zero exit.
 func TestSeededFixturesFire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the seeded fixture package")
@@ -43,15 +39,9 @@ func TestSeededFixturesFire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load seeded fixtures: %v", err)
 	}
-	prog := BuildProgram(pkgs)
-	var got []Finding
-	for _, pkg := range pkgs {
-		got = append(got, RunAnalyzers(All(), prog, pkg)...)
-	}
+	got := RunAll(All(), BuildProgram(pkgs), pkgs)
 	want := map[string]bool{
-		"unlockpath": false, "goroleak": false, "errflow": false,
-		"globalstate": false, "aliasret": false,
-		"bufown": false, "sessionlife": false, "ctxflow": false,
+		"unlockpath": false, "errflow": false, "bufown": false, "sessionlife": false,
 	}
 	for _, f := range got {
 		if _, seeded := want[f.Analyzer]; !seeded {
@@ -96,6 +86,6 @@ func TestRepoWaiversHaveReasons(t *testing.T) {
 		}
 	}
 	if n == 0 {
-		t.Error("expected at least one waiver in the tree (e.g. store.loadPageLocked's aliasret)")
+		t.Error("expected at least one waiver in the tree (e.g. txn.trimLocked's detmap)")
 	}
 }

@@ -1,19 +1,14 @@
 // Package seeded holds deliberately buggy code — one specimen per gated
-// analyzer — for the linter's linter: TestSeededFixturesFire and the CI
-// canary step load this package explicitly and assert that unlockpath,
-// goroleak, errflow, globalstate, aliasret, bufown, sessionlife and
-// ctxflow all fire. `./...` never matches a testdata directory, so these
-// bugs are invisible to normal lint runs and builds.
+// analyzer — for the linter's linter: TestSeededFixturesFire loads this
+// package explicitly and asserts that unlockpath, errflow, bufown and
+// sessionlife all fire, and the CI canary step requires the built gslint
+// binary to exit non-zero on it. `./...` never matches a testdata
+// directory, so these bugs are invisible to normal lint runs and builds.
 package seeded
 
 import (
-	"context"
 	"sync"
 )
-
-// globalstate specimen: a package-level counter mutated at runtime —
-// shared by every shard the moment there are two.
-var hits int
 
 type cache struct {
 	mu sync.Mutex
@@ -29,7 +24,6 @@ func (c *cache) Get(k string) (int, bool) {
 		return 0, false
 	}
 	defer c.mu.Unlock()
-	hits++
 	return v, true
 }
 
@@ -41,39 +35,6 @@ func (dev) Sync() error { return nil }
 // write is acknowledged but may never reach the platter.
 func flush(d dev) {
 	d.Sync()
-}
-
-type server struct {
-	c cache
-	d dev
-}
-
-func (s *server) churn() {
-	for {
-		s.c.Get("x")
-		flush(s.d)
-	}
-}
-
-// goroleak specimen: nothing can await or stop the goroutine — no
-// WaitGroup, no done channel, no context.
-func Start(s *server) {
-	go s.churn()
-}
-
-// pool mimics the store's buffer slab: recycled track buffers waiting to
-// be handed back out.
-type pool struct {
-	free [][]byte
-}
-
-// aliasret specimen: Grab pops a pooled buffer and returns it without
-// copying, so the caller and the pool share one backing array — the next
-// recycle/pop cycle scribbles over bytes the caller still holds.
-func (p *pool) Grab() []byte {
-	buf := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return buf
 }
 
 // slab mimics the commit path's reusable scratch buffers.
@@ -115,12 +76,4 @@ func audit(r registry) error {
 	}
 	s.Close()
 	return nil
-}
-
-func fetch(ctx context.Context, src string) error { return ctx.Err() }
-
-// ctxflow specimen: a fresh root context below an entry point sheds the
-// caller's deadline and cancellation.
-func handle(ctx context.Context, src string) error {
-	return fetch(context.Background(), src)
 }

@@ -184,7 +184,6 @@ func (e *Executor) ExecuteCtx(ctx context.Context, id SessionID, source string) 
 		return "", "", fmt.Errorf("%w: %d", ErrNoSession, id)
 	}
 	r.se.SetContext(ctx)
-	//lint:ignore ctxflow clearing the session's per-call context when the call returns, not propagating one
 	defer r.se.SetContext(nil)
 	sw := e.met.executeNS.Start()
 	res, err := r.se.Execute(source)

@@ -39,8 +39,6 @@ func (r *Relation) Arity() int { return len(r.Attrs) }
 func (r *Relation) Len() int { return len(r.rows) }
 
 // Rows exposes the tuples (read-only by convention).
-//
-//lint:ignore aliasret deliberate zero-copy accessor: §7 experiment drivers scan rows read-only and relations are single-goroutine
 func (r *Relation) Rows() []Tuple { return r.rows }
 
 func (r *Relation) attrIndex(name string) (int, error) {

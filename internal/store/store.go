@@ -478,7 +478,6 @@ func (s *Store) failpoint(step string) error {
 // using the cache.
 func (s *Store) loadPageLocked(idx int) ([]Locator, error) {
 	if p, ok := s.pageCache[idx]; ok {
-		//lint:ignore aliasret cached pages are copy-on-write: Apply clones via ensureDirty before mutating, readers never write through the returned slice
 		return p, nil
 	}
 	if idx >= len(s.pageTracks) {
