@@ -598,6 +598,19 @@ func BenchmarkOPAL(b *testing.B) {
 		})
 	}
 
+	// Loop cost vs iteration count: an inlined 1 to: N do: whose body is
+	// one temp read, so the per-pass overhead shows.
+	for _, n := range []int{10, 100, 1000, 10000} {
+		src := fmt.Sprintf("1 to: %d do: [:i | i]", n)
+		b.Run(fmt.Sprintf("iter=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Execute(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+
 	// gsload's vm_compute texts, one session per goroutine: run at -cpu 1,2
 	// it shows whether sessions computing in parallel scale with cores or
 	// contend on shared state.

@@ -1,7 +1,7 @@
 package opal
 
 // AST node types for OPAL. The parser produces these; the compiler lowers
-// them to bytecode.
+// each one once to a Go closure.
 
 type node interface{ pos() int }
 

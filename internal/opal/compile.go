@@ -1,79 +1,22 @@
 package opal
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"repro/internal/algebra"
 	"repro/internal/calculus"
 	"repro/internal/oop"
 )
 
-// Bytecodes of the OPAL abstract stack machine ("The Interpreter is an
-// abstract stack machine that executes compiledMethods consisting of
-// sequences of bytecodes", §6).
-type opCode byte
+// The compiler lowers each AST node once into a Go closure over an
+// activation frame. Values flow through Go returns, so there is no operand
+// stack, and the inlined control-flow sends become Go if and for. It stands
+// in for the paper's bytecodes and abstract stack machine (§6).
 
-const (
-	opPushSelf   opCode = iota
-	opPushLit           // u16 literal index
-	opPushTemp          // u8 temp slot
-	opStoreTemp         // u8 (value stays on stack)
-	opPushIVar          // u16 literal index of name symbol
-	opStoreIVar         // u16 (value stays on stack)
-	opPushGlobal        // u16 literal index of name symbol
-	opPop
-	opDup
-	opSend      // u16 selector literal, u8 argc
-	opSuperSend // u16 selector literal, u8 argc
-	opJump      // i16 relative to next instruction
-	opJumpFalse // i16; pops condition
-	opJumpTrue  // i16; pops condition
-	opPushBlock // u16 literal index of block
-	opRetTop    // return TOS from the current code unit
-	opMethodRet // non-local return: unwind to the home method with TOS
-	opFetchElem // u16 name literal; pops object, pushes element value
-	opFetchAt   // u16 name literal; pops time then object, pushes value
-	opStoreElem // u16 name literal; pops value then object, pushes value
-	opQuery     // u16 calculus literal; pushes the result collection
-)
-
-// literal is one literal-pool entry.
-type literal struct {
-	kind litKind
-	i    int64
-	f    float64
-	s    string  // string/symbol/char/selector text
-	sym  oop.OOP // lkSymbol, lkSelector: s resolved on first execution
-	arr  []literal
-	blk  *blockCode
-	calc *calcLit
-}
-
-// calcLit is a compiled embedded set-calculus expression: the parsed query
-// plus the enclosing-scope variables it captures (name and temp slot).
-type calcLit struct {
-	src      string
-	query    *calculus.Query
-	capNames []string
-	capSlots []int
-}
-
-type litKind uint8
-
-const (
-	lkInt litKind = iota
-	lkFloat
-	lkString
-	lkSymbol
-	lkChar
-	lkTrue
-	lkFalse
-	lkNil
-	lkArray
-	lkBlock
-	lkSelector // selector or name symbols (interned at run time)
-	lkCalculus // embedded set-calculus expression
-)
+// code is a compiled expression or statement sequence: run in an
+// activation, it answers its value.
+type code func(fr *frame) (oop.OOP, error)
 
 // blockCode is the compiled form of a block literal. Blocks share their
 // home activation's temporary vector (the classic ST-80 scheme): block
@@ -82,26 +25,46 @@ const (
 type blockCode struct {
 	numArgs  int
 	argSlots []int
-	code     []byte
-	method   *compiledMethod
+	body     code
 }
 
-// compiledMethod is an executable method.
+// compiledMethod is an executable method or doIt.
 type compiledMethod struct {
-	selector string
-	numArgs  int
 	numTemps int // size of the temp vector (args + temps + block slots)
-	code     []byte
-	lits     []literal
-	source   string
-	ivars    []string // instance variable names visible when compiled
+	body     code
 }
+
+// symCell caches the OOP of a selector, symbol, instance-variable or
+// path-segment name, resolved on first execution so that running the same
+// code again interns nothing. Compiled code, and so every cell, belongs to
+// one interpreter, never to another session's.
+type symCell struct {
+	name string
+	sym  oop.OOP
+}
+
+func (c *symCell) get(in *Interp) oop.OOP {
+	if c.sym == oop.Invalid {
+		c.sym = in.s.Symbol(c.name)
+	}
+	return c.sym
+}
+
+var errIntRange = errors.New("opal: integer literal out of range")
 
 // scope tracks name→slot bindings with block shadowing.
 type scope struct {
 	names map[string][]int // name -> stack of slots (for shadowing)
 	ivars map[string]bool
 	next  int
+}
+
+func newScope(ivars []string) *scope {
+	sc := &scope{names: map[string][]int{}, ivars: map[string]bool{}}
+	for _, iv := range ivars {
+		sc.ivars[iv] = true
+	}
+	return sc
 }
 
 func (sc *scope) bind(name string) int {
@@ -125,130 +88,119 @@ func (sc *scope) lookup(name string) (int, bool) {
 }
 
 type compiler struct {
-	m    *compiledMethod
-	sc   *scope
-	code *[]byte // current emission target (method or block body)
+	sc      *scope
+	inBlock bool // compiling a real block's body: ^ unwinds to the home method
 }
 
 // compileMethod compiles a parsed method for a class with the given
 // instance variable names.
-func compileMethod(ast *methodAST, source string, ivars []string) (*compiledMethod, error) {
-	m := &compiledMethod{selector: ast.selector, numArgs: len(ast.params), source: source, ivars: ivars}
-	sc := &scope{names: map[string][]int{}, ivars: map[string]bool{}}
-	for _, iv := range ivars {
-		sc.ivars[iv] = true
-	}
+func compileMethod(ast *methodAST, ivars []string) (*compiledMethod, error) {
+	sc := newScope(ivars)
 	for _, p := range ast.params {
 		sc.bind(p)
 	}
-	for _, t := range ast.temps {
-		sc.bind(t)
-	}
-	c := &compiler{m: m, sc: sc, code: &m.code}
-	if err := c.body(ast.body, true); err != nil {
-		return nil, err
-	}
-	m.numTemps = sc.next
-	return m, nil
+	return compileBody(sc, ast, true)
 }
 
 // compileDoIt compiles an executable block of code; falling off the end
 // returns the last expression's value.
-func compileDoIt(ast *methodAST, source string) (*compiledMethod, error) {
-	m := &compiledMethod{selector: "doIt", source: source}
-	sc := &scope{names: map[string][]int{}, ivars: map[string]bool{}}
+func compileDoIt(ast *methodAST) (*compiledMethod, error) {
+	return compileBody(newScope(nil), ast, false)
+}
+
+// compileBody compiles method- or doIt-level statements. A ^-return answers
+// its value; falling off the end answers self in a method and the last value
+// in a doIt.
+func compileBody(sc *scope, ast *methodAST, isMethod bool) (*compiledMethod, error) {
 	for _, t := range ast.temps {
 		sc.bind(t)
 	}
-	c := &compiler{m: m, sc: sc, code: &m.code}
-	if err := c.body(ast.body, false); err != nil {
+	c := &compiler{sc: sc}
+	body, returns, err := c.stmts(ast.body, func(v code) code { return v })
+	if err != nil {
 		return nil, err
 	}
-	m.numTemps = sc.next
-	return m, nil
+	if isMethod && !returns {
+		body = sequence([]code{body, func(fr *frame) (oop.OOP, error) { return fr.self, nil }})
+	}
+	return &compiledMethod{numTemps: sc.next, body: body}, nil
 }
 
-// body compiles method- or doIt-level statements. A ^-return returns its
-// value; falling off the end returns self in a method and the last value in
-// a doIt.
-func (c *compiler) body(stmts []node, isMethod bool) error {
-	for i, st := range stmts {
-		if r, ok := st.(*returnNode); ok {
-			if err := c.expr(r.value); err != nil {
-				return err
+// stmts compiles a statement sequence whose value is the last statement's,
+// or nil when it is empty. A ^-statement ends the sequence, and ret compiles
+// it; what follows is never compiled. The bool reports whether one did.
+func (c *compiler) stmts(body []node, ret func(code) code) (code, bool, error) {
+	codes := make([]code, 0, len(body))
+	for _, st := range body {
+		r, isRet := st.(*returnNode)
+		if isRet {
+			st = r.value
+		}
+		cd, err := c.expr(st)
+		if err != nil {
+			return nil, false, err
+		}
+		if isRet {
+			return sequence(append(codes, ret(cd))), true, nil
+		}
+		codes = append(codes, cd)
+	}
+	return sequence(codes), false, nil
+}
+
+func sequence(codes []code) code {
+	switch len(codes) {
+	case 0:
+		return constant(oop.Nil)
+	case 1:
+		return codes[0]
+	}
+	return func(fr *frame) (v oop.OOP, err error) {
+		for _, cd := range codes {
+			if v, err = cd(fr); err != nil {
+				return oop.Invalid, err
 			}
-			c.emit(opRetTop)
-			return nil
 		}
-		if err := c.expr(st); err != nil {
-			return err
-		}
-		if i < len(stmts)-1 {
-			c.emit(opPop)
-		} else if isMethod {
-			c.emit(opPop) // method falls off the end: return self
+		return v, nil
+	}
+}
+
+func constant(v oop.OOP) code {
+	return func(*frame) (oop.OOP, error) { return v, nil }
+}
+
+// methodReturn compiles a ^ inside a block: it returns from the block's home
+// method. A block inlined into the method's own body returns through
+// errReturn. A real block may be running under a primitive such as do:, so
+// its ^ unwinds by panic to the home's run, or fails if that run has
+// already returned (Smalltalk-80's cannotReturn:).
+func (c *compiler) methodReturn(val code) code {
+	if !c.inBlock {
+		return func(fr *frame) (oop.OOP, error) {
+			v, err := val(fr)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			fr.ret = v
+			return oop.Invalid, errReturn
 		}
 	}
-	if isMethod {
-		c.emit(opPushSelf)
-	} else if len(stmts) == 0 {
-		c.pushLit(literal{kind: lkNil})
-	}
-	c.emit(opRetTop)
-	return nil
-}
-
-func (c *compiler) emit(op opCode, operands ...byte) {
-	*c.code = append(*c.code, byte(op))
-	*c.code = append(*c.code, operands...)
-}
-
-func (c *compiler) emitU16(op opCode, v int) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(v))
-	c.emit(op, b[0], b[1])
-}
-
-func (c *compiler) addLit(l literal) int {
-	// Deduplicate simple literals.
-	for i, e := range c.m.lits {
-		if e.kind == l.kind && e.i == l.i && e.f == l.f && e.s == l.s &&
-			e.arr == nil && l.arr == nil && e.blk == nil && l.blk == nil &&
-			e.calc == nil && l.calc == nil {
-			return i
+	return func(fr *frame) (oop.OOP, error) {
+		v, err := val(fr)
+		if err != nil {
+			return oop.Invalid, err
 		}
+		if fr.returned {
+			return oop.Invalid, errCannotReturn
+		}
+		panic(nonLocal{home: fr, val: v})
 	}
-	c.m.lits = append(c.m.lits, l)
-	return len(c.m.lits) - 1
 }
 
-func (c *compiler) pushLit(l literal) {
-	c.emitU16(opPushLit, c.addLit(l))
-}
-
-// jump emission with backpatching.
-func (c *compiler) emitJump(op opCode) int {
-	c.emit(op, 0, 0)
-	return len(*c.code) - 2
-}
-
-func (c *compiler) patchJump(at int) {
-	off := len(*c.code) - (at + 2)
-	binary.LittleEndian.PutUint16((*c.code)[at:], uint16(int16(off)))
-}
-
-func (c *compiler) jumpBack(target int) {
-	off := target - (len(*c.code) + 3)
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(int16(off)))
-	c.emit(opJump, b[0], b[1])
-}
-
-func (c *compiler) expr(n node) error {
+func (c *compiler) expr(n node) (code, error) {
 	switch e := n.(type) {
 	case *literalNode:
-		c.pushLit(litFromNode(e))
-		return nil
+		return literal(e), nil
 	case *varNode:
 		return c.variable(e)
 	case *assignNode:
@@ -264,9 +216,219 @@ func (c *compiler) expr(n node) error {
 	case *calculusNode:
 		return c.calculusLit(e)
 	case *returnNode:
-		return fmt.Errorf("opal: ^-return not allowed here")
+		return nil, fmt.Errorf("opal: ^-return not allowed here")
 	}
-	return fmt.Errorf("opal: cannot compile %T", n)
+	return nil, fmt.Errorf("opal: cannot compile %T", n)
+}
+
+func (c *compiler) exprs(ns []node) ([]code, error) {
+	codes := make([]code, len(ns))
+	for i, n := range ns {
+		cd, err := c.expr(n)
+		if err != nil {
+			return nil, err
+		}
+		codes[i] = cd
+	}
+	return codes, nil
+}
+
+// literal compiles a literal. Strings, floats and arrays are fresh objects on
+// every evaluation; an integer outside the SmallInteger range fails when it
+// is evaluated, not when it is compiled.
+func literal(e *literalNode) code {
+	switch e.kind {
+	case litInt:
+		if v, ok := oop.FromInt(e.i); ok {
+			return constant(v)
+		}
+		return func(*frame) (oop.OOP, error) { return oop.Invalid, errIntRange }
+	case litFloat:
+		return func(fr *frame) (oop.OOP, error) { return fr.interp.s.NewFloat(e.f) }
+	case litString:
+		return func(fr *frame) (oop.OOP, error) { return fr.interp.s.NewString(e.s) }
+	case litSymbol:
+		sym := &symCell{name: e.s}
+		return func(fr *frame) (oop.OOP, error) { return sym.get(fr.interp), nil }
+	case litChar:
+		return constant(oop.FromChar([]rune(e.s)[0]))
+	case litTrue:
+		return constant(oop.True)
+	case litFalse:
+		return constant(oop.False)
+	case litNil:
+		return constant(oop.Nil)
+	case litArray:
+		elems := make([]code, len(e.arr))
+		for i, el := range e.arr {
+			elems[i] = literal(el)
+		}
+		return func(fr *frame) (oop.OOP, error) {
+			s := fr.interp.s
+			arr, err := s.NewObject(s.DB().Kernel().Array)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			for i, el := range elems {
+				v, err := el(fr)
+				if err != nil {
+					return oop.Invalid, err
+				}
+				if err := s.Store(arr, oop.MustInt(int64(i+1)), v); err != nil {
+					return oop.Invalid, err
+				}
+			}
+			return arr, nil
+		}
+	}
+	panic("unreachable literal kind")
+}
+
+func (c *compiler) variable(v *varNode) (code, error) {
+	switch v.name {
+	case "self", "super":
+		return func(fr *frame) (oop.OOP, error) { return fr.self, nil }, nil
+	case "thisContext":
+		return nil, fmt.Errorf("opal: thisContext is not supported")
+	}
+	if slot, ok := c.sc.lookup(v.name); ok {
+		return func(fr *frame) (oop.OOP, error) { return fr.temps[slot], nil }, nil
+	}
+	if c.sc.ivars[v.name] {
+		iv := &symCell{name: v.name}
+		return func(fr *frame) (oop.OOP, error) {
+			val, _, err := fr.interp.s.Fetch(fr.self, iv.get(fr.interp))
+			return val, err
+		}, nil
+	}
+	name := v.name
+	return func(fr *frame) (oop.OOP, error) {
+		if val, ok := fr.interp.s.Global(name); ok {
+			return val, nil
+		}
+		return oop.Invalid, fmt.Errorf("opal: undefined name %q", name)
+	}, nil
+}
+
+func (c *compiler) assign(a *assignNode) (code, error) {
+	switch tgt := a.target.(type) {
+	case *varNode:
+		if tgt.name == "self" || tgt.name == "super" {
+			return nil, fmt.Errorf("opal: cannot assign to %s", tgt.name)
+		}
+		val, err := c.expr(a.value)
+		if err != nil {
+			return nil, err
+		}
+		if slot, ok := c.sc.lookup(tgt.name); ok {
+			return func(fr *frame) (oop.OOP, error) {
+				v, err := val(fr)
+				if err != nil {
+					return oop.Invalid, err
+				}
+				fr.temps[slot] = v
+				return v, nil
+			}, nil
+		}
+		if c.sc.ivars[tgt.name] {
+			iv := &symCell{name: tgt.name}
+			return func(fr *frame) (oop.OOP, error) {
+				v, err := val(fr)
+				if err != nil {
+					return oop.Invalid, err
+				}
+				return v, fr.interp.storeElem(fr.self, iv.get(fr.interp), v)
+			}, nil
+		}
+		return nil, fmt.Errorf("opal: cannot assign to undeclared variable %q", tgt.name)
+	case *pathNode:
+		// Evaluate the prefix object, then the value, then store the last seg.
+		last := tgt.segs[len(tgt.segs)-1]
+		if last.timeExp != nil {
+			return nil, fmt.Errorf("opal: cannot assign into a past state")
+		}
+		obj, err := c.path(&pathNode{base: tgt.base, root: tgt.root, segs: tgt.segs[:len(tgt.segs)-1]})
+		if err != nil {
+			return nil, err
+		}
+		val, err := c.expr(a.value)
+		if err != nil {
+			return nil, err
+		}
+		key, err := segCell(last)
+		if err != nil {
+			return nil, err
+		}
+		return func(fr *frame) (oop.OOP, error) {
+			o, err := obj(fr)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			v, err := val(fr)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			in := fr.interp
+			if !o.IsHeap() {
+				return oop.Invalid, fmt.Errorf("opal: cannot store element into %s", in.safePrint(o))
+			}
+			return v, in.storeElem(o, key.get(in), v)
+		}, nil
+	}
+	return nil, fmt.Errorf("opal: bad assignment target %T", a.target)
+}
+
+// segCell compiles a path segment's element name. An index is resolved
+// here; its cell keeps a name only for error messages.
+func segCell(s pathSeg) (*symCell, error) {
+	if !s.isIndex {
+		return &symCell{name: s.name}, nil
+	}
+	v, ok := oop.FromInt(s.index)
+	if !ok {
+		return nil, errIntRange
+	}
+	return &symCell{name: fmt.Sprintf("\x00%d", s.index), sym: v}, nil
+}
+
+func (c *compiler) path(p *pathNode) (code, error) {
+	cd, err := c.expr(p.root)
+	if err != nil {
+		return nil, err
+	}
+	for _, seg := range p.segs {
+		obj := cd
+		key, err := segCell(seg)
+		if err != nil {
+			return nil, err
+		}
+		if seg.timeExp == nil {
+			cd = func(fr *frame) (oop.OOP, error) {
+				o, err := obj(fr)
+				if err != nil {
+					return oop.Invalid, err
+				}
+				return fr.interp.fetchElem(o, key, nil)
+			}
+			continue
+		}
+		at, err := c.expr(seg.timeExp)
+		if err != nil {
+			return nil, err
+		}
+		cd = func(fr *frame) (oop.OOP, error) {
+			o, err := obj(fr)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			t, err := at(fr)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			return fr.interp.fetchElem(o, key, &t)
+		}
+	}
+	return cd, nil
 }
 
 // calculusLit compiles an embedded set-calculus expression. The query is
@@ -274,12 +436,12 @@ func (c *compiler) expr(n node) error {
 // an in-scope temp is captured by slot and bound at run time — the paper's
 // "procedural parts" inside declarative statements (§5.4). Remaining free
 // variables resolve as globals/World roots at run time.
-func (c *compiler) calculusLit(n *calculusNode) error {
+func (c *compiler) calculusLit(n *calculusNode) (code, error) {
 	// The lexer stripped the OUTER braces; the text still contains the
 	// query's own target-constructor braces: {Emp: e} where ...
 	q, err := calculus.Parse(n.src)
 	if err != nil {
-		return fmt.Errorf("opal: embedded calculus: %w", err)
+		return nil, fmt.Errorf("opal: embedded calculus: %w", err)
 	}
 	free := map[string]bool{}
 	for _, r := range q.Ranges {
@@ -292,224 +454,143 @@ func (c *compiler) calculusLit(n *calculusNode) error {
 	for _, r := range q.Ranges {
 		rangeBound[r.Var] = true
 	}
-	cl := &calcLit{src: n.src, query: q}
+	var capNames []string
+	var capSlots []int
 	for name := range free {
 		if rangeBound[name] {
 			continue
 		}
 		if slot, ok := c.sc.lookup(name); ok {
-			cl.capNames = append(cl.capNames, name)
-			cl.capSlots = append(cl.capSlots, slot)
+			capNames = append(capNames, name)
+			capSlots = append(capSlots, slot)
 		}
 	}
-	c.emitU16(opQuery, c.addLit(literal{kind: lkCalculus, calc: cl}))
-	return nil
+	return func(fr *frame) (oop.OOP, error) {
+		in := fr.interp
+		binding := calculus.Binding{}
+		prebound := map[string]bool{}
+		for i, name := range capNames {
+			binding[name] = fr.temps[capSlots[i]]
+			prebound[name] = true
+		}
+		plan, err := algebra.OptimizeWithBound(q, in.s, prebound)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		rows, _, err := plan.ExecWith(in.s, binding)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		return in.rowsToCollection(rows)
+	}, nil
 }
 
-func litFromNode(e *literalNode) literal {
-	switch e.kind {
-	case litInt:
-		return literal{kind: lkInt, i: e.i}
-	case litFloat:
-		return literal{kind: lkFloat, f: e.f}
-	case litString:
-		return literal{kind: lkString, s: e.s}
-	case litSymbol:
-		return literal{kind: lkSymbol, s: e.s}
-	case litChar:
-		return literal{kind: lkChar, s: e.s}
-	case litTrue:
-		return literal{kind: lkTrue}
-	case litFalse:
-		return literal{kind: lkFalse}
-	case litNil:
-		return literal{kind: lkNil}
-	case litArray:
-		arr := make([]literal, len(e.arr))
-		for i, el := range e.arr {
-			arr[i] = litFromNode(el)
-		}
-		return literal{kind: lkArray, arr: arr}
+func (c *compiler) cascade(cas *cascadeNode) (code, error) {
+	recv, err := c.expr(cas.receiver)
+	if err != nil {
+		return nil, err
 	}
-	panic("unreachable literal kind")
-}
-
-func (c *compiler) variable(v *varNode) error {
-	switch v.name {
-	case "self", "super":
-		c.emit(opPushSelf)
-		return nil
-	case "thisContext":
-		return fmt.Errorf("opal: thisContext is not supported")
-	}
-	if slot, ok := c.sc.lookup(v.name); ok {
-		c.emit(opPushTemp, byte(slot))
-		return nil
-	}
-	if c.sc.ivars[v.name] {
-		c.emitU16(opPushIVar, c.addLit(literal{kind: lkSelector, s: v.name}))
-		return nil
-	}
-	c.emitU16(opPushGlobal, c.addLit(literal{kind: lkSelector, s: v.name}))
-	return nil
-}
-
-func (c *compiler) assign(a *assignNode) error {
-	switch tgt := a.target.(type) {
-	case *varNode:
-		if tgt.name == "self" || tgt.name == "super" {
-			return fmt.Errorf("opal: cannot assign to %s", tgt.name)
-		}
-		if err := c.expr(a.value); err != nil {
-			return err
-		}
-		if slot, ok := c.sc.lookup(tgt.name); ok {
-			c.emit(opStoreTemp, byte(slot))
-			return nil
-		}
-		if c.sc.ivars[tgt.name] {
-			c.emitU16(opStoreIVar, c.addLit(literal{kind: lkSelector, s: tgt.name}))
-			return nil
-		}
-		return fmt.Errorf("opal: cannot assign to undeclared variable %q", tgt.name)
-	case *pathNode:
-		// Evaluate the prefix object, then value, then store the last seg.
-		last := tgt.segs[len(tgt.segs)-1]
-		if last.timeExp != nil {
-			return fmt.Errorf("opal: cannot assign into a past state")
-		}
-		prefix := &pathNode{base: tgt.base, root: tgt.root, segs: tgt.segs[:len(tgt.segs)-1]}
-		if len(prefix.segs) == 0 {
-			if err := c.expr(prefix.root); err != nil {
-				return err
-			}
-		} else if err := c.path(prefix); err != nil {
-			return err
-		}
-		if err := c.expr(a.value); err != nil {
-			return err
-		}
-		c.emitU16(opStoreElem, c.addLit(literal{kind: lkSelector, s: segKey(last)}))
-		return nil
-	}
-	return fmt.Errorf("opal: bad assignment target %T", a.target)
-}
-
-// segKey encodes a path segment name; numeric indexes are prefixed so the
-// VM can tell them from symbols.
-func segKey(s pathSeg) string {
-	if s.isIndex {
-		return fmt.Sprintf("\x00%d", s.index)
-	}
-	return s.name
-}
-
-func (c *compiler) path(p *pathNode) error {
-	if err := c.expr(p.root); err != nil {
-		return err
-	}
-	for _, seg := range p.segs {
-		idx := c.addLit(literal{kind: lkSelector, s: segKey(seg)})
-		if seg.timeExp != nil {
-			if err := c.expr(seg.timeExp); err != nil {
-				return err
-			}
-			c.emitU16(opFetchAt, idx)
-		} else {
-			c.emitU16(opFetchElem, idx)
-		}
-	}
-	return nil
-}
-
-func (c *compiler) cascade(cas *cascadeNode) error {
-	if err := c.expr(cas.receiver); err != nil {
-		return err
-	}
+	sels := make([]*symCell, len(cas.sends))
+	args := make([][]code, len(cas.sends))
 	for i, snd := range cas.sends {
-		last := i == len(cas.sends)-1
-		if !last {
-			c.emit(opDup)
-		}
-		for _, a := range snd.args {
-			if err := c.expr(a); err != nil {
-				return err
-			}
-		}
-		c.emitSend(opSend, snd.selector, len(snd.args))
-		if !last {
-			c.emit(opPop)
+		sels[i] = &symCell{name: snd.selector}
+		if args[i], err = c.exprs(snd.args); err != nil {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-func (c *compiler) emitSend(op opCode, selector string, argc int) {
-	idx := c.addLit(literal{kind: lkSelector, s: selector})
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(idx))
-	c.emit(op, b[0], b[1], byte(argc))
+	return func(fr *frame) (oop.OOP, error) {
+		r, err := recv(fr)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		var v oop.OOP
+		for i, sel := range sels {
+			argv, err := evalArgs(fr, args[i])
+			if err != nil {
+				return oop.Invalid, err
+			}
+			if v, err = fr.interp.send(r, sel, argv); err != nil {
+				return oop.Invalid, err
+			}
+		}
+		return v, nil
+	}, nil
 }
 
 // send compiles a message send, inlining the standard control-flow
 // selectors when their operands are block literals.
-func (c *compiler) send(s *sendNode) error {
-	if !s.super && c.tryInline(s) {
+func (c *compiler) send(s *sendNode) (code, error) {
+	if !s.super && inlinable(s) {
 		return c.inline(s)
 	}
-	if err := c.expr(s.receiver); err != nil {
-		return err
+	recv, err := c.expr(s.receiver)
+	if err != nil {
+		return nil, err
 	}
-	for _, a := range s.args {
-		if err := c.expr(a); err != nil {
-			return err
+	args, err := c.exprs(s.args)
+	if err != nil {
+		return nil, err
+	}
+	sel, super := &symCell{name: s.selector}, s.super
+	return func(fr *frame) (oop.OOP, error) {
+		r, err := recv(fr)
+		if err != nil {
+			return oop.Invalid, err
 		}
-	}
-	op := opSend
-	if s.super {
-		op = opSuperSend
-	}
-	c.emitSend(op, s.selector, len(s.args))
-	return nil
+		argv, err := evalArgs(fr, args)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		in := fr.interp
+		if !super {
+			return in.send(r, sel, argv)
+		}
+		sup, _, err := in.s.Fetch(fr.selfCls, in.wk.Superclass)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		return in.sendToClass(r, sup, sel.name, sel.get(in), argv)
+	}, nil
 }
 
-func isBlockLit(n node) (*blockNode, bool) {
+// evalArgs evaluates argument expressions left to right into a fresh vector.
+func evalArgs(fr *frame, args []code) ([]oop.OOP, error) {
+	argv := make([]oop.OOP, len(args))
+	for i, a := range args {
+		v, err := a(fr)
+		if err != nil {
+			return nil, err
+		}
+		argv[i] = v
+	}
+	return argv, nil
+}
+
+func isBlockLit(n node, params int) bool {
 	b, ok := n.(*blockNode)
-	return b, ok
+	return ok && len(b.params) == params
 }
 
-func (c *compiler) tryInline(s *sendNode) bool {
+func inlinable(s *sendNode) bool {
 	switch s.selector {
-	case "ifTrue:", "ifFalse:":
-		b, ok := isBlockLit(s.args[0])
-		return ok && len(b.params) == 0
+	case "ifTrue:", "ifFalse:", "and:", "or:", "timesRepeat:":
+		return isBlockLit(s.args[0], 0)
 	case "ifTrue:ifFalse:", "ifFalse:ifTrue:":
-		b1, ok1 := isBlockLit(s.args[0])
-		b2, ok2 := isBlockLit(s.args[1])
-		return ok1 && ok2 && len(b1.params) == 0 && len(b2.params) == 0
-	case "and:", "or:":
-		b, ok := isBlockLit(s.args[0])
-		return ok && len(b.params) == 0
+		return isBlockLit(s.args[0], 0) && isBlockLit(s.args[1], 0)
 	case "whileTrue:", "whileFalse:":
-		r, okr := isBlockLit(s.receiver)
-		b, okb := isBlockLit(s.args[0])
-		return okr && okb && len(r.params) == 0 && len(b.params) == 0
+		return isBlockLit(s.receiver, 0) && isBlockLit(s.args[0], 0)
 	case "whileTrue", "whileFalse":
-		r, ok := isBlockLit(s.receiver)
-		return ok && len(r.params) == 0
+		return isBlockLit(s.receiver, 0)
 	case "to:do:":
-		b, ok := isBlockLit(s.args[1])
-		return ok && len(b.params) == 1
-	case "timesRepeat:":
-		b, ok := isBlockLit(s.args[0])
-		return ok && len(b.params) == 0
+		return isBlockLit(s.args[1], 1)
 	}
 	return false
 }
 
-// inlineBlockBody compiles a block's statements in the current scope
-// (sharing temps), leaving the block value on the stack.
-func (c *compiler) inlineBlockBody(b *blockNode) error {
+// inlineBlock compiles a literal block's statements in the current scope
+// (sharing temps), to run in place of sending it value.
+func (c *compiler) inlineBlock(n node) (code, error) {
+	b := n.(*blockNode)
 	for _, t := range b.temps {
 		c.sc.bind(t)
 	}
@@ -518,208 +599,187 @@ func (c *compiler) inlineBlockBody(b *blockNode) error {
 			c.sc.unbind(t)
 		}
 	}()
-	if len(b.body) == 0 {
-		c.pushLit(literal{kind: lkNil})
-		return nil
+	cd, _, err := c.stmts(b.body, c.methodReturn)
+	return cd, err
+}
+
+// truth answers whether a condition's value is true, passing its error on;
+// a non-Boolean is an error.
+func (in *Interp) truth(v oop.OOP, err error) (bool, error) {
+	if err != nil {
+		return false, err
 	}
-	for i, st := range b.body {
-		if r, ok := st.(*returnNode); ok {
-			if err := c.expr(r.value); err != nil {
-				return err
+	b, ok := v.Bool()
+	if !ok {
+		return false, fmt.Errorf("opal: conditional on non-Boolean %s", in.safePrint(v))
+	}
+	return b, nil
+}
+
+func (c *compiler) inline(s *sendNode) (code, error) {
+	switch sel := s.selector; sel {
+	case "ifTrue:", "ifFalse:", "ifTrue:ifFalse:", "ifFalse:ifTrue:":
+		cond, err := c.expr(s.receiver)
+		if err != nil {
+			return nil, err
+		}
+		then, err := c.inlineBlock(s.args[0])
+		if err != nil {
+			return nil, err
+		}
+		els := constant(oop.Nil)
+		if len(s.args) == 2 {
+			if els, err = c.inlineBlock(s.args[1]); err != nil {
+				return nil, err
 			}
-			c.emit(opMethodRet)
-			return nil
 		}
-		if err := c.expr(st); err != nil {
-			return err
+		if sel == "ifFalse:" || sel == "ifFalse:ifTrue:" {
+			then, els = els, then
 		}
-		if i < len(b.body)-1 {
-			c.emit(opPop)
-		}
-	}
-	return nil
-}
-
-func (c *compiler) inline(s *sendNode) error {
-	switch s.selector {
-	case "ifTrue:", "ifFalse:":
-		if err := c.expr(s.receiver); err != nil {
-			return err
-		}
-		jop := opJumpFalse
-		if s.selector == "ifFalse:" {
-			jop = opJumpTrue
-		}
-		j1 := c.emitJump(jop)
-		if err := c.inlineBlockBody(s.args[0].(*blockNode)); err != nil {
-			return err
-		}
-		j2 := c.emitJump(opJump)
-		c.patchJump(j1)
-		c.pushLit(literal{kind: lkNil})
-		c.patchJump(j2)
-		return nil
-	case "ifTrue:ifFalse:", "ifFalse:ifTrue:":
-		if err := c.expr(s.receiver); err != nil {
-			return err
-		}
-		jop := opJumpFalse
-		if s.selector == "ifFalse:ifTrue:" {
-			jop = opJumpTrue
-		}
-		j1 := c.emitJump(jop)
-		if err := c.inlineBlockBody(s.args[0].(*blockNode)); err != nil {
-			return err
-		}
-		j2 := c.emitJump(opJump)
-		c.patchJump(j1)
-		if err := c.inlineBlockBody(s.args[1].(*blockNode)); err != nil {
-			return err
-		}
-		c.patchJump(j2)
-		return nil
+		return func(fr *frame) (oop.OOP, error) {
+			b, err := fr.interp.truth(cond(fr))
+			if err != nil {
+				return oop.Invalid, err
+			}
+			if b {
+				return then(fr)
+			}
+			return els(fr)
+		}, nil
 	case "and:", "or:":
-		if err := c.expr(s.receiver); err != nil {
-			return err
+		cond, err := c.expr(s.receiver)
+		if err != nil {
+			return nil, err
 		}
-		c.emit(opDup)
-		var j int
-		if s.selector == "and:" {
-			j = c.emitJump(opJumpFalse)
-		} else {
-			j = c.emitJump(opJumpTrue)
+		rest, err := c.inlineBlock(s.args[0])
+		if err != nil {
+			return nil, err
 		}
-		c.emit(opPop)
-		if err := c.inlineBlockBody(s.args[0].(*blockNode)); err != nil {
-			return err
+		and := sel == "and:"
+		return func(fr *frame) (oop.OOP, error) {
+			b, err := fr.interp.truth(cond(fr))
+			if err != nil {
+				return oop.Invalid, err
+			}
+			if b != and {
+				return oop.FromBool(b), nil
+			}
+			return rest(fr)
+		}, nil
+	case "whileTrue:", "whileFalse:", "whileTrue", "whileFalse":
+		cond, err := c.inlineBlock(s.receiver)
+		if err != nil {
+			return nil, err
 		}
-		c.patchJump(j)
-		return nil
-	case "whileTrue:", "whileFalse:":
-		top := len(*c.code)
-		if err := c.inlineBlockBody(s.receiver.(*blockNode)); err != nil {
-			return err
+		body := constant(oop.Nil)
+		if len(s.args) == 1 {
+			if body, err = c.inlineBlock(s.args[0]); err != nil {
+				return nil, err
+			}
 		}
-		var j int
-		if s.selector == "whileTrue:" {
-			j = c.emitJump(opJumpFalse)
-		} else {
-			j = c.emitJump(opJumpTrue)
-		}
-		if err := c.inlineBlockBody(s.args[0].(*blockNode)); err != nil {
-			return err
-		}
-		c.emit(opPop)
-		c.jumpBack(top)
-		c.patchJump(j)
-		c.pushLit(literal{kind: lkNil})
-		return nil
-	case "whileTrue", "whileFalse":
-		top := len(*c.code)
-		if err := c.inlineBlockBody(s.receiver.(*blockNode)); err != nil {
-			return err
-		}
-		var j int
-		if s.selector == "whileTrue" {
-			j = c.emitJump(opJumpFalse)
-		} else {
-			j = c.emitJump(opJumpTrue)
-		}
-		c.jumpBack(top)
-		c.patchJump(j)
-		c.pushLit(literal{kind: lkNil})
-		return nil
+		want := sel == "whileTrue:" || sel == "whileTrue"
+		return func(fr *frame) (oop.OOP, error) {
+			for {
+				if err := fr.interp.poll(); err != nil {
+					return oop.Invalid, err
+				}
+				b, err := fr.interp.truth(cond(fr))
+				if err != nil {
+					return oop.Invalid, err
+				}
+				if b != want {
+					return oop.Nil, nil
+				}
+				if _, err := body(fr); err != nil {
+					return oop.Invalid, err
+				}
+			}
+		}, nil
 	case "to:do:":
-		// i := start. [i <= stop] whileTrue: [body. i := i + 1].
+		// i := start. [i <= stop] whileTrue: [arg := i. body. i := i + 1].
+		start, err := c.expr(s.receiver)
+		if err != nil {
+			return nil, err
+		}
+		stop, err := c.expr(s.args[0])
+		if err != nil {
+			return nil, err
+		}
 		blk := s.args[1].(*blockNode)
-		iSlot := c.sc.bind("(to:do: index)")
-		stopSlot := c.sc.bind("(to:do: limit)")
-		defer c.sc.unbind("(to:do: index)")
-		defer c.sc.unbind("(to:do: limit)")
-		if err := c.expr(s.receiver); err != nil {
-			return err
-		}
-		c.emit(opStoreTemp, byte(iSlot))
-		c.emit(opPop)
-		if err := c.expr(s.args[0]); err != nil {
-			return err
-		}
-		c.emit(opStoreTemp, byte(stopSlot))
-		c.emit(opPop)
-		top := len(*c.code)
-		c.emit(opPushTemp, byte(iSlot))
-		c.emit(opPushTemp, byte(stopSlot))
-		c.emitSend(opSend, "<=", 1)
-		j := c.emitJump(opJumpFalse)
-		// Bind the block argument to the index.
 		argSlot := c.sc.bind(blk.params[0])
-		c.emit(opPushTemp, byte(iSlot))
-		c.emit(opStoreTemp, byte(argSlot))
-		c.emit(opPop)
-		if err := c.inlineBlockBody(blk); err != nil {
-			c.sc.unbind(blk.params[0])
-			return err
-		}
+		body, err := c.inlineBlock(blk)
 		c.sc.unbind(blk.params[0])
-		c.emit(opPop)
-		c.emit(opPushTemp, byte(iSlot))
-		c.pushLit(literal{kind: lkInt, i: 1})
-		c.emitSend(opSend, "+", 1)
-		c.emit(opStoreTemp, byte(iSlot))
-		c.emit(opPop)
-		c.jumpBack(top)
-		c.patchJump(j)
-		c.pushLit(literal{kind: lkNil})
-		return nil
+		if err != nil {
+			return nil, err
+		}
+		return countedLoop(start, stop, argSlot, body), nil
 	case "timesRepeat:":
-		blk := s.args[0].(*blockNode)
-		iSlot := c.sc.bind("(times index)")
-		nSlot := c.sc.bind("(times limit)")
-		defer c.sc.unbind("(times index)")
-		defer c.sc.unbind("(times limit)")
-		c.pushLit(literal{kind: lkInt, i: 1})
-		c.emit(opStoreTemp, byte(iSlot))
-		c.emit(opPop)
-		if err := c.expr(s.receiver); err != nil {
-			return err
+		stop, err := c.expr(s.receiver)
+		if err != nil {
+			return nil, err
 		}
-		c.emit(opStoreTemp, byte(nSlot))
-		c.emit(opPop)
-		top := len(*c.code)
-		c.emit(opPushTemp, byte(iSlot))
-		c.emit(opPushTemp, byte(nSlot))
-		c.emitSend(opSend, "<=", 1)
-		j := c.emitJump(opJumpFalse)
-		if err := c.inlineBlockBody(blk); err != nil {
-			return err
+		body, err := c.inlineBlock(s.args[0])
+		if err != nil {
+			return nil, err
 		}
-		c.emit(opPop)
-		c.emit(opPushTemp, byte(iSlot))
-		c.pushLit(literal{kind: lkInt, i: 1})
-		c.emitSend(opSend, "+", 1)
-		c.emit(opStoreTemp, byte(iSlot))
-		c.emit(opPop)
-		c.jumpBack(top)
-		c.patchJump(j)
-		c.pushLit(literal{kind: lkNil})
-		return nil
+		return countedLoop(constant(oop.MustInt(1)), stop, -1, body), nil
 	}
-	return fmt.Errorf("opal: inline of %q not implemented", s.selector)
+	return nil, fmt.Errorf("opal: inline of %q not implemented", s.selector)
 }
 
-// blockLit compiles a block literal into a blockCode in the literal pool.
-func (c *compiler) blockLit(b *blockNode) error {
-	bc := &blockCode{numArgs: len(b.params), method: c.m}
+// countedLoop runs body while index <= stop, stepping index by 1. Both are
+// real sends, so any receiver that understands them loops. A non-negative
+// argSlot receives the index before each pass.
+func countedLoop(start, stop code, argSlot int, body code) code {
+	le, plus, one := &symCell{name: "<="}, &symCell{name: "+"}, oop.MustInt(1)
+	return func(fr *frame) (oop.OOP, error) {
+		in := fr.interp
+		i, err := start(fr)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		limit, err := stop(fr)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		for {
+			if err := in.poll(); err != nil {
+				return oop.Invalid, err
+			}
+			b, err := in.truth(in.send(i, le, []oop.OOP{limit}))
+			if err != nil {
+				return oop.Invalid, err
+			}
+			if !b {
+				return oop.Nil, nil
+			}
+			if argSlot >= 0 {
+				fr.temps[argSlot] = i
+			}
+			if _, err := body(fr); err != nil {
+				return oop.Invalid, err
+			}
+			if i, err = in.send(i, plus, []oop.OOP{one}); err != nil {
+				return oop.Invalid, err
+			}
+		}
+	}
+}
+
+// blockLit compiles a block literal; evaluating it makes a closure over the
+// current activation.
+func (c *compiler) blockLit(b *blockNode) (code, error) {
+	bc := &blockCode{numArgs: len(b.params)}
 	for _, p := range b.params {
 		bc.argSlots = append(bc.argSlots, c.sc.bind(p))
 	}
 	for _, t := range b.temps {
 		c.sc.bind(t)
 	}
-	saved := c.code
-	c.code = &bc.code
-	err := c.blockBody(b.body)
-	c.code = saved
+	inBlock := c.inBlock
+	c.inBlock = true
+	body, _, err := c.stmts(b.body, c.methodReturn)
+	c.inBlock = inBlock
 	for i := len(b.temps) - 1; i >= 0; i-- {
 		c.sc.unbind(b.temps[i])
 	}
@@ -727,35 +787,10 @@ func (c *compiler) blockLit(b *blockNode) error {
 		c.sc.unbind(b.params[i])
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.emitU16(opPushBlock, c.addLit(literal{kind: lkBlock, blk: bc}))
-	return nil
-}
-
-// blockBody compiles a block's statements as a code unit ending in opRetTop
-// (the block's value) or opMethodRet (a ^-return).
-func (c *compiler) blockBody(stmts []node) error {
-	if len(stmts) == 0 {
-		c.pushLit(literal{kind: lkNil})
-		c.emit(opRetTop)
-		return nil
-	}
-	for i, st := range stmts {
-		if r, ok := st.(*returnNode); ok {
-			if err := c.expr(r.value); err != nil {
-				return err
-			}
-			c.emit(opMethodRet)
-			return nil
-		}
-		if err := c.expr(st); err != nil {
-			return err
-		}
-		if i < len(stmts)-1 {
-			c.emit(opPop)
-		}
-	}
-	c.emit(opRetTop)
-	return nil
+	bc.body = body
+	return func(fr *frame) (oop.OOP, error) {
+		return fr.interp.registerBlock(&closure{code: bc, home: fr}), nil
+	}, nil
 }

@@ -1,0 +1,105 @@
+package opal
+
+import (
+	"go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
+
+// FuzzCompile: for any input, parsing and compiling it as a doIt and as a
+// method either fails with an error or succeeds; neither panics. Seeded with
+// the kernel method sources and every literal evalCases text in this
+// package's tests.
+func FuzzCompile(f *testing.F) {
+	for _, srcs := range kernelSources {
+		for _, src := range srcs {
+			f.Add(src)
+		}
+	}
+	for _, src := range evalCaseTexts(f) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if m, err := parseDoIt(src); err == nil {
+			_, _ = compileDoIt(m)
+		}
+		if m, err := parseMethod(src); err == nil {
+			_, _ = compileMethod(m, []string{"n", "name"})
+		}
+	})
+}
+
+// evalCaseTexts collects the source of every evalCases row written as a
+// string literal in this package's test files.
+func evalCaseTexts(tb testing.TB) []string {
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var texts []string
+	fset := gotoken.NewFileSet()
+	for _, name := range files {
+		file, err := goparser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 3 {
+				return true
+			}
+			if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "evalCases" {
+				return true
+			}
+			rows, ok := call.Args[2].(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			for _, row := range rows.Elts {
+				pair, ok := row.(*ast.CompositeLit)
+				if !ok || len(pair.Elts) != 2 {
+					continue
+				}
+				if lit, ok := pair.Elts[0].(*ast.BasicLit); ok && lit.Kind == gotoken.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						texts = append(texts, s)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(texts) == 0 {
+		tb.Fatal("found no evalCases rows")
+	}
+	return texts
+}
+
+// BenchmarkCompile measures parse+compile alone over gsload's request
+// shapes: the vm_compute spin loop, the oltp_commit update, and
+// history_mixed's path read, time-dialled read and update.
+func BenchmarkCompile(b *testing.B) {
+	for _, c := range []struct{ name, src string }{
+		{"spin", "1 to: 3990 do: [:i | i]. 'ok'"},
+		{"oltp_update", "| a | a := World!accts at: 17. a at: #balance put: (a at: #balance) + 5. a at: #seq put: 3. a at: #balance"},
+		{"history_path", "World!hot3!v5"},
+		{"history_dial", "| r | System timeDial: 120. r := World!hot3!v5. System timeDialNow. r"},
+		{"history_update", "| o | o := World!hot3. o at: #v5 put: (o at: #v5) + 7. o at: #v5"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := parseDoIt(c.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := compileDoIt(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,16 +2,17 @@
 // syntax and semantics — objects, messages, classes, blocks — extended with
 // the data-language features the paper adds: path expressions with temporal
 // subscripts, assignment to paths, set-calculus queries, and transaction /
-// time-dial control, all compiled to bytecodes and executed by an abstract
-// stack machine against a database session ("Communication with GemStone is
-// done in blocks of OPAL source code. Compilation and execution of those
-// blocks is done entirely in the GemStone system", §6).
+// time-dial control, all compiled to Go closures and executed against a
+// database session ("Communication with GemStone is done in blocks of OPAL
+// source code. Compilation and execution of those blocks is done entirely in
+// the GemStone system", §6).
 package opal
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 type tokenKind uint8
@@ -183,8 +184,9 @@ func lexSource(src string) ([]token, error) {
 			if i+1 >= len(src) {
 				return nil, &lexErr{"character literal at end of input", i}
 			}
-			toks = append(toks, token{kind: tkChar, text: string(src[i+1]), pos: i})
-			i += 2
+			_, w := utf8.DecodeRuneInString(src[i+1:])
+			toks = append(toks, token{kind: tkChar, text: src[i+1 : i+1+w], pos: i})
+			i += 1 + w
 		case c == '#':
 			start := i
 			i++

@@ -17,6 +17,7 @@ func TestPrintStringForms(t *testing.T) {
 		{"(Dictionary new) printString", "'a Dictionary( )'"},
 		{"nil printString", "'nil'"},
 		{"$z printString", "'$z'"},
+		{"$é printString", "'$é'"},
 		{"#sym printString", "'#sym'"},
 		{"[:x | x] printString", "'aBlock(1 args)'"},
 		{"Transcript printString", "'a TranscriptStream'"},

@@ -1,8 +1,12 @@
 package opal
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/auth"
 	"repro/internal/core"
@@ -103,7 +107,21 @@ func TestVariablesAndAssignment(t *testing.T) {
 		{"| x | x := 5. x * 2", "10"},
 		{"| x y | x := 3. y := x + 1. x + y", "7"},
 		{"| x | x := 1. x := x + 1. x := x + 1. x", "3"},
+		// More temps than a one-byte slot number can tell apart.
+		{manyTemps(257), "1"},
 	})
+}
+
+// manyTemps declares n temps, sets the first and the last, and answers the
+// first.
+func manyTemps(n int) string {
+	var b strings.Builder
+	b.WriteString("|")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " t%d", i)
+	}
+	fmt.Fprintf(&b, " | t0 := 1. t%d := 2. t0", n-1)
+	return b.String()
 }
 
 func TestControlFlow(t *testing.T) {
@@ -123,7 +141,38 @@ func TestControlFlow(t *testing.T) {
 		{"| s | s := 0. 1 to: 5 do: [:i | s := s + i]. s", "15"},
 		{"| s | s := 0. 3 timesRepeat: [s := s + 10]. s", "30"},
 		{"| i | i := 10. [i > 20] whileFalse: [i := i + 3]. i", "22"},
+		// A loop body longer than a 16-bit jump can cross.
+		{"| s | s := 0. 1 to: 1 do: [:i | " + strings.Repeat("s := s + 1. ", 3000) + "nil]. s", "3000"},
 	})
+}
+
+// TestEveryLoopShapeHonoursDeadline: every loop form, inlined or run by a
+// primitive, polls the request context, so a loop that sends nothing still
+// stops at its deadline.
+func TestEveryLoopShapeHonoursDeadline(t *testing.T) {
+	in := newInterp(t)
+	for _, src := range []string{
+		"[true] whileTrue",
+		"[true] whileTrue: [nil]",
+		"[false] whileFalse",
+		"| c | c := [true]. c whileTrue: [nil]",
+		"1000000000 timesRepeat: [nil]",
+		"1 to: 1000000000 do: [:i | nil]",
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		in.Session().SetContext(ctx)
+		start := time.Now()
+		_, err := in.Execute(src)
+		took := time.Since(start)
+		in.Session().SetContext(nil)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%q: err = %v, want the deadline", src, err)
+		}
+		if took > time.Second {
+			t.Errorf("%q ran %v under a 20 ms deadline", src, took)
+		}
+	}
 }
 
 func TestBlocks(t *testing.T) {
@@ -217,6 +266,27 @@ func TestNonLocalReturn(t *testing.T) {
 		{"| c | c := OrderedCollection new. c add: 1; add: 5; add: 9. Finder new firstOver: 3 in: c", "5"},
 		{"| c | c := OrderedCollection new. c add: 1. Finder new firstOver: 3 in: c", "nil"},
 	})
+}
+
+// TestBlockReturnToDeadHomeFails: a block's ^ whose home method has already
+// returned fails the request (Smalltalk-80's cannotReturn:) instead of
+// panicking out of Execute.
+func TestBlockReturnToDeadHomeFails(t *testing.T) {
+	in := newInterp(t)
+	for _, s := range []string{
+		`Object subclass: 'Esc' instVarNames: #()`,
+		`Esc compile: 'blk ^[:x | ^x]'`,
+	} {
+		if _, err := in.Execute(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := in.Execute("(Esc new blk) value: 7")
+	if err == nil || !strings.Contains(err.Error(), "home method has returned") {
+		t.Errorf("^ to a returned home: %v", err)
+	}
+	// The session survives, and a live home still takes the return.
+	evalCases(t, in, [][2]string{{"([:x | ^x] value: 7) + 1", "7"}})
 }
 
 func TestCollections(t *testing.T) {

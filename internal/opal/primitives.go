@@ -344,7 +344,7 @@ func (in *Interp) installPrimitives() {
 		}
 		selSym := in.s.Symbol(sel)
 		for c := in.classOf(r); c.IsHeap(); {
-			if m, _, _ := in.methodIn(c, sel, selSym); m != nil {
+			if m, _ := in.methodIn(c, sel, selSym); m != nil {
 				return oop.True, nil
 			}
 			if _, ok := in.prims[primKey{class: c, selector: sel}]; ok {
@@ -930,7 +930,7 @@ func (in *Interp) defineMethod(class oop.OOP, src string) (oop.OOP, error) {
 	if err != nil {
 		return oop.Invalid, err
 	}
-	if _, err := compileMethod(ast, src, ivars); err != nil {
+	if _, err := compileMethod(ast, ivars); err != nil {
 		return oop.Invalid, err
 	}
 	dict, ok, err := in.s.Fetch(class, in.wk.Methods)

@@ -62,7 +62,7 @@ func (in *Interp) printValue(v oop.OOP, depth int) (string, error) {
 func (in *Interp) userPrintString(v oop.OOP) (string, bool, error) {
 	sel := in.s.Symbol("printString")
 	for c := in.classOf(v); c.IsHeap(); {
-		if m, _, err := in.methodIn(c, "printString", sel); err != nil {
+		if m, err := in.methodIn(c, "printString", sel); err != nil {
 			return "", false, err
 		} else if m != nil {
 			res, err := in.run(m, v, c, nil)

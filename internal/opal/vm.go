@@ -1,14 +1,10 @@
 package opal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
-	"repro/internal/algebra"
-	"repro/internal/calculus"
 	"repro/internal/core"
 	"repro/internal/oop"
 )
@@ -17,22 +13,21 @@ import (
 // (blocks). These never reach the store.
 const transientBase = uint64(1) << 48
 
-// closure is a runtime block: compiled code plus its home activation.
+// closure is a runtime block: compiled code plus its home activation, on
+// which it runs.
 type closure struct {
 	code *blockCode
 	home *frame
 }
 
-// frame is one activation record.
+// frame is one method or doIt activation record; its blocks run on it.
 type frame struct {
-	interp  *Interp
-	method  *compiledMethod
-	self    oop.OOP
-	selfCls oop.OOP // class the running method was found in (for super)
-	temps   []oop.OOP
-	stack   []oop.OOP
-	isBlock bool
-	home    *frame // the method activation blocks unwind to
+	interp   *Interp
+	self     oop.OOP
+	selfCls  oop.OOP // class the running method was found in (for super)
+	temps    []oop.OOP
+	ret      oop.OOP // the value of a ^ that is returning through errReturn
+	returned bool    // run has exited: a block's ^ has nowhere to go
 }
 
 // nonLocal is the panic payload for ^-returns out of blocks.
@@ -40,6 +35,13 @@ type nonLocal struct {
 	home *frame
 	val  oop.OOP
 }
+
+var (
+	// errReturn carries a ^ in a block inlined into a method's own body up
+	// to the method's run, which answers frame.ret. It never leaves run.
+	errReturn       = errors.New("opal: ^-return")
+	errCannotReturn = errors.New("opal: block cannot return: its home method has returned")
+)
 
 // Interp executes OPAL code against a database session. One Interp per
 // session (the paper's per-user Compiler + Interpreter pair, §6).
@@ -54,13 +56,13 @@ type Interp struct {
 	nextTrans uint64              // never reused, so a stale block OOP resolves to nothing
 	callDepth int
 	maxDepth  int
-	steps     uint64 // bytecodes executed; amortizes cancellation polling
+	steps     uint64 // sends, block calls and inlined-loop passes; amortizes cancellation polling
 }
 
-// cancelEvery is how many bytecodes run between request-context polls:
-// often enough that a deadline interrupts a runaway loop within
-// microseconds, rarely enough that the check never shows in a profile.
-// Power of two so the modulus is a mask.
+// cancelEvery is how many sends, block calls and inlined-loop passes run
+// between request-context polls: often enough that a deadline interrupts a
+// runaway loop within microseconds, rarely enough that the check never shows
+// in a profile. Power of two so the modulus is a mask.
 const cancelEvery = 1024
 
 type primKey struct {
@@ -75,7 +77,6 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	srcOOP   oop.OOP // identity of the source string the compile came from
-	foundIn  oop.OOP // class whose dictionary supplied the method
 	compiled *compiledMethod
 }
 
@@ -120,7 +121,7 @@ func (in *Interp) Execute(source string) (oop.OOP, error) {
 	if err != nil {
 		return oop.Invalid, err
 	}
-	m, err := compileDoIt(ast, source)
+	m, err := compileDoIt(ast)
 	if err != nil {
 		return oop.Invalid, err
 	}
@@ -142,14 +143,14 @@ func (in *Interp) run(m *compiledMethod, self, selfCls oop.OOP, args []oop.OOP) 
 		return oop.Invalid, fmt.Errorf("opal: call stack depth exceeded (%d)", in.maxDepth)
 	}
 	in.callDepth++
-	defer func() { in.callDepth-- }()
-	fr := &frame{interp: in, method: m, self: self, selfCls: selfCls, temps: make([]oop.OOP, m.numTemps)}
-	fr.home = fr
+	fr := &frame{interp: in, self: self, selfCls: selfCls, temps: make([]oop.OOP, m.numTemps)}
 	for i := range fr.temps {
 		fr.temps[i] = oop.Nil
 	}
 	copy(fr.temps, args)
 	defer func() {
+		in.callDepth--
+		fr.returned = true
 		if r := recover(); r != nil {
 			if nl, ok := r.(nonLocal); ok && nl.home == fr {
 				res, err = nl.val, nil
@@ -158,10 +159,15 @@ func (in *Interp) run(m *compiledMethod, self, selfCls oop.OOP, args []oop.OOP) 
 			panic(r)
 		}
 	}()
-	return in.exec(fr, m.code, m.lits, false)
+	res, err = m.body(fr)
+	if err == errReturn {
+		return fr.ret, nil
+	}
+	return res, err
 }
 
-// callBlock invokes a closure with arguments.
+// callBlock invokes a closure with arguments. The block runs on its home
+// activation, whose temp vector holds its arguments.
 func (in *Interp) callBlock(cl *closure, args []oop.OOP) (oop.OOP, error) {
 	if len(args) != cl.code.numArgs {
 		return oop.Invalid, fmt.Errorf("opal: block expects %d arguments, got %d", cl.code.numArgs, len(args))
@@ -169,214 +175,32 @@ func (in *Interp) callBlock(cl *closure, args []oop.OOP) (oop.OOP, error) {
 	if in.callDepth >= in.maxDepth {
 		return oop.Invalid, fmt.Errorf("opal: call stack depth exceeded (%d)", in.maxDepth)
 	}
+	if err := in.poll(); err != nil {
+		return oop.Invalid, err
+	}
 	in.callDepth++
 	defer func() { in.callDepth-- }()
 	for i, slot := range cl.code.argSlots {
 		cl.home.temps[slot] = args[i]
 	}
-	fr := &frame{interp: in, method: cl.code.method, self: cl.home.self, selfCls: cl.home.selfCls,
-		temps: cl.home.temps, isBlock: true, home: cl.home}
-	return in.exec(fr, cl.code.code, cl.code.method.lits, true)
+	return cl.code.body(cl.home)
 }
 
-// exec is the bytecode loop for one code unit.
-func (in *Interp) exec(fr *frame, code []byte, lits []literal, isBlock bool) (oop.OOP, error) {
-	push := func(v oop.OOP) { fr.stack = append(fr.stack, v) }
-	pop := func() oop.OOP {
-		v := fr.stack[len(fr.stack)-1]
-		fr.stack = fr.stack[:len(fr.stack)-1]
-		return v
+// poll counts one send, block call or inlined-loop pass, and every
+// cancelEvery of them consults the request context.
+func (in *Interp) poll() error {
+	in.steps++
+	if in.steps&(cancelEvery-1) != 0 {
+		return nil
 	}
-	pc := 0
-	u16 := func() int {
-		v := int(binary.LittleEndian.Uint16(code[pc:]))
-		pc += 2
-		return v
-	}
-	for pc < len(code) {
-		in.steps++
-		if in.steps&(cancelEvery-1) == 0 {
-			if err := in.s.CancelErr(); err != nil {
-				return oop.Invalid, err
-			}
-		}
-		op := opCode(code[pc])
-		pc++
-		switch op {
-		case opPushSelf:
-			push(fr.self)
-		case opPushLit:
-			v, err := in.litValue(&lits[u16()])
-			if err != nil {
-				return oop.Invalid, err
-			}
-			push(v)
-		case opPushTemp:
-			push(fr.temps[code[pc]])
-			pc++
-		case opStoreTemp:
-			fr.temps[code[pc]] = fr.stack[len(fr.stack)-1]
-			pc++
-		case opPushIVar:
-			v, _, err := in.s.Fetch(fr.self, in.litSym(&lits[u16()]))
-			if err != nil {
-				return oop.Invalid, err
-			}
-			push(v)
-		case opStoreIVar:
-			sym := in.litSym(&lits[u16()])
-			v := fr.stack[len(fr.stack)-1]
-			if err := in.checkConstraint(fr.self, sym, v); err != nil {
-				return oop.Invalid, err
-			}
-			if err := in.s.Store(fr.self, sym, v); err != nil {
-				return oop.Invalid, err
-			}
-		case opPushGlobal:
-			name := lits[u16()].s
-			v, ok := in.s.Global(name)
-			if !ok {
-				return oop.Invalid, fmt.Errorf("opal: undefined name %q", name)
-			}
-			push(v)
-		case opPop:
-			pop()
-		case opDup:
-			push(fr.stack[len(fr.stack)-1])
-		case opSend, opSuperSend:
-			sel := &lits[u16()]
-			argc := int(code[pc])
-			pc++
-			args := make([]oop.OOP, argc)
-			for i := argc - 1; i >= 0; i-- {
-				args[i] = pop()
-			}
-			recv := pop()
-			var startClass oop.OOP
-			if op == opSuperSend {
-				sup, _, err := in.s.Fetch(fr.selfCls, in.wk.Superclass)
-				if err != nil {
-					return oop.Invalid, err
-				}
-				startClass = sup
-			} else {
-				startClass = in.classOf(recv)
-			}
-			v, err := in.sendToClass(recv, startClass, sel.s, in.litSym(sel), args)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			push(v)
-		case opJump:
-			off := int(int16(binary.LittleEndian.Uint16(code[pc:])))
-			pc += 2 + off
-		case opJumpFalse, opJumpTrue:
-			off := int(int16(binary.LittleEndian.Uint16(code[pc:])))
-			pc += 2
-			c := pop()
-			b, ok := c.Bool()
-			if !ok {
-				return oop.Invalid, fmt.Errorf("opal: conditional on non-Boolean %s", in.safePrint(c))
-			}
-			if (op == opJumpFalse && !b) || (op == opJumpTrue && b) {
-				pc += off
-			}
-		case opPushBlock:
-			bc := lits[u16()].blk
-			cl := &closure{code: bc, home: fr.home}
-			push(in.registerBlock(cl))
-		case opRetTop:
-			return pop(), nil
-		case opMethodRet:
-			v := pop()
-			if !isBlock {
-				return v, nil
-			}
-			panic(nonLocal{home: fr.home, val: v})
-		case opFetchElem:
-			key := &lits[u16()]
-			obj := pop()
-			v, err := in.fetchElem(obj, key, nil)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			push(v)
-		case opFetchAt:
-			key := &lits[u16()]
-			t := pop()
-			obj := pop()
-			v, err := in.fetchElem(obj, key, &t)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			push(v)
-		case opQuery:
-			cl := lits[u16()].calc
-			binding := calculus.Binding{}
-			prebound := map[string]bool{}
-			for i, name := range cl.capNames {
-				binding[name] = fr.temps[cl.capSlots[i]]
-				prebound[name] = true
-			}
-			plan, err := algebra.OptimizeWithBound(cl.query, in.s, prebound)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			rows, _, err := plan.ExecWith(in.s, binding)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			out, err := in.rowsToCollection(rows)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			push(out)
-		case opStoreElem:
-			key := &lits[u16()]
-			v := pop()
-			obj := pop()
-			if !obj.IsHeap() {
-				return oop.Invalid, fmt.Errorf("opal: cannot store element into %s", in.safePrint(obj))
-			}
-			name := in.litSym(key)
-			if err := in.checkConstraint(obj, name, v); err != nil {
-				return oop.Invalid, err
-			}
-			if err := in.s.Store(obj, name, v); err != nil {
-				return oop.Invalid, err
-			}
-			push(v)
-		}
-	}
-	// Falling off the end without opRetTop (shouldn't happen).
-	return oop.Nil, nil
+	return in.s.CancelErr()
 }
 
-// segName converts a compiled path-segment key into an element-name OOP.
-func (in *Interp) segName(key string) oop.OOP {
-	if strings.HasPrefix(key, "\x00") {
-		n, _ := strconv.ParseInt(key[1:], 10, 64)
-		return oop.MustInt(n)
-	}
-	return in.s.Symbol(key)
-}
-
-// litSym resolves a selector, name or path-segment literal to its OOP on
-// first execution and caches it in the literal, so running the same code
-// again interns nothing. Literals belong to this interpreter's compiled
-// code, never to another session's.
-func (in *Interp) litSym(l *literal) oop.OOP {
-	if l.sym == oop.Invalid {
-		l.sym = in.segName(l.s)
-	}
-	return l.sym
-}
-
-func (in *Interp) fetchElem(obj oop.OOP, key *literal, at *oop.OOP) (oop.OOP, error) {
+func (in *Interp) fetchElem(obj oop.OOP, key *symCell, at *oop.OOP) (oop.OOP, error) {
 	if !obj.IsHeap() {
-		return oop.Invalid, fmt.Errorf("opal: cannot navigate %q from %s", key.s, in.safePrint(obj))
+		return oop.Invalid, fmt.Errorf("opal: cannot navigate %q from %s", key.name, in.safePrint(obj))
 	}
-	name := in.litSym(key)
+	name := key.get(in)
 	if at == nil {
 		v, _, err := in.s.Fetch(obj, name)
 		return v, err
@@ -386,6 +210,14 @@ func (in *Interp) fetchElem(obj oop.OOP, key *literal, at *oop.OOP) (oop.OOP, er
 	}
 	v, _, err := in.s.FetchAt(obj, name, oop.Time(at.Int()))
 	return v, err
+}
+
+// storeElem stores v under name in obj, subject to obj's constraints.
+func (in *Interp) storeElem(obj, name, v oop.OOP) error {
+	if err := in.checkConstraint(obj, name, v); err != nil {
+		return err
+	}
+	return in.s.Store(obj, name, v)
 }
 
 // registerBlock gives a closure a transient pseudo-OOP.
@@ -401,51 +233,9 @@ func (in *Interp) blockFor(o oop.OOP) (*closure, bool) {
 	return cl, ok
 }
 
-// litValue materializes a literal-pool entry as a runtime value.
-func (in *Interp) litValue(l *literal) (oop.OOP, error) {
-	switch l.kind {
-	case lkInt:
-		v, ok := oop.FromInt(l.i)
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: integer literal out of range")
-		}
-		return v, nil
-	case lkFloat:
-		return in.s.NewFloat(l.f)
-	case lkString:
-		return in.s.NewString(l.s)
-	case lkSymbol, lkSelector:
-		if l.sym == oop.Invalid {
-			l.sym = in.s.Symbol(l.s)
-		}
-		return l.sym, nil
-	case lkChar:
-		return oop.FromChar([]rune(l.s)[0]), nil
-	case lkTrue:
-		return oop.True, nil
-	case lkFalse:
-		return oop.False, nil
-	case lkNil:
-		return oop.Nil, nil
-	case lkArray:
-		arr, err := in.s.NewObject(in.s.DB().Kernel().Array)
-		if err != nil {
-			return oop.Invalid, err
-		}
-		for i := range l.arr {
-			v, err := in.litValue(&l.arr[i])
-			if err != nil {
-				return oop.Invalid, err
-			}
-			if err := in.s.Store(arr, oop.MustInt(int64(i+1)), v); err != nil {
-				return oop.Invalid, err
-			}
-		}
-		return arr, nil
-	case lkBlock:
-		return oop.Invalid, errors.New("opal: block literal outside execution context")
-	}
-	return oop.Invalid, fmt.Errorf("opal: bad literal kind %d", l.kind)
+// send sends the message sel names, whose OOP it caches, to recv.
+func (in *Interp) send(recv oop.OOP, sel *symCell, args []oop.OOP) (oop.OOP, error) {
+	return in.sendToClass(recv, in.classOf(recv), sel.name, sel.get(in), args)
 }
 
 // Send dispatches a message from Go.
@@ -466,13 +256,15 @@ func (in *Interp) classOf(v oop.OOP) oop.OOP {
 // sendToClass performs method lookup starting at a class and invokes the
 // method (or primitive). sel is the selector's symbol.
 func (in *Interp) sendToClass(recv, class oop.OOP, selector string, sel oop.OOP, args []oop.OOP) (oop.OOP, error) {
+	if err := in.poll(); err != nil {
+		return oop.Invalid, err
+	}
 	cls := class
 	for cls.IsHeap() {
 		// User-defined (or kernel OPAL) method first, then primitive.
-		if m, src, err := in.methodIn(cls, selector, sel); err != nil {
+		if m, err := in.methodIn(cls, selector, sel); err != nil {
 			return oop.Invalid, err
 		} else if m != nil {
-			_ = src
 			return in.run(m, recv, cls, args)
 		}
 		if fn, ok := in.prims[primKey{class: cls, selector: selector}]; ok {
@@ -489,40 +281,40 @@ func (in *Interp) sendToClass(recv, class oop.OOP, selector string, sel oop.OOP,
 
 // methodIn returns the compiled method defined directly in class for
 // selector (whose symbol is sel), if any, compiling and caching as needed.
-func (in *Interp) methodIn(class oop.OOP, selector string, sel oop.OOP) (*compiledMethod, oop.OOP, error) {
+func (in *Interp) methodIn(class oop.OOP, selector string, sel oop.OOP) (*compiledMethod, error) {
 	dictOOP, ok, err := in.s.Fetch(class, in.wk.Methods)
 	if err != nil || !ok || !dictOOP.IsHeap() {
-		return nil, oop.Invalid, err
+		return nil, err
 	}
 	srcOOP, ok, err := in.s.Fetch(dictOOP, sel)
 	if err != nil || !ok || srcOOP == oop.Nil {
-		return nil, oop.Invalid, err
+		return nil, err
 	}
 	key := cacheKey{class: class.Serial(), selector: selector}
 	if e, hit := in.cache[key]; hit && e.srcOOP == srcOOP {
-		return e.compiled, srcOOP, nil
+		return e.compiled, nil
 	}
 	srcBytes, err := in.s.BytesOf(srcOOP)
 	if err != nil {
-		return nil, oop.Invalid, err
+		return nil, err
 	}
 	ivars, err := in.allInstVarNames(class)
 	if err != nil {
-		return nil, oop.Invalid, err
+		return nil, err
 	}
 	ast, err := parseMethod(string(srcBytes))
 	if err != nil {
-		return nil, oop.Invalid, fmt.Errorf("opal: in %s>>%s: %w", in.classNameOf(class), selector, err)
+		return nil, fmt.Errorf("opal: in %s>>%s: %w", in.classNameOf(class), selector, err)
 	}
 	if ast.selector != selector {
-		return nil, oop.Invalid, fmt.Errorf("opal: method stored under #%s has pattern #%s", selector, ast.selector)
+		return nil, fmt.Errorf("opal: method stored under #%s has pattern #%s", selector, ast.selector)
 	}
-	m, err := compileMethod(ast, string(srcBytes), ivars)
+	m, err := compileMethod(ast, ivars)
 	if err != nil {
-		return nil, oop.Invalid, err
+		return nil, err
 	}
-	in.cache[key] = &cacheEntry{srcOOP: srcOOP, foundIn: class, compiled: m}
-	return m, srcOOP, nil
+	in.cache[key] = &cacheEntry{srcOOP: srcOOP, compiled: m}
+	return m, nil
 }
 
 // allInstVarNames collects declared instance variable names along the

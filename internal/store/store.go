@@ -123,8 +123,9 @@ type Store struct {
 // except by the documented handoffs — committed COW pages move into
 // pageCache (and the pages they replace come back to the pool), and the
 // superseded table directory becomes the next commit's directory scratch.
-// See DESIGN.md "Commit pipeline" for the ownership rules aliasret
-// enforces.
+// See DESIGN.md "Commit pipeline" for the ownership rules, which
+// TestReadTrackReturnsPrivateCopy and TestTrackPoolReadersNeverSeeRecycledBytes
+// pin.
 type applyScratch struct {
 	buf        []byte       // boxer encode slab, presized by EncodedSize
 	places     []placed     // where each record landed in buf
@@ -158,7 +159,7 @@ const pagePoolCap = 64
 // takePage pops a recycled page of length n from the pool or allocates a
 // fresh one. The second result reports whether the pool served it. Free
 // function, same reasoning as popTrack: the loan discipline lives at the
-// call sites aliasret watches.
+// call sites.
 func takePage(pool *[][]Locator, n int) ([]Locator, bool) {
 	for len(*pool) > 0 {
 		last := len(*pool) - 1

@@ -571,8 +571,8 @@ func (tm *TrackManager) cacheInsertLocked(n uint32, p []byte) {
 // popTrack takes a recycled buffer from the pool, resliced to size, or
 // allocates a fresh one with the given full capacity. The second result
 // reports whether the pool served it. A free function on purpose: pool
-// buffers are transient loans, and keeping the pop out of method form
-// keeps aliasret focused on the paths that can actually leak a loan.
+// buffers are transient loans, and the discipline that keeps a loan from
+// leaking belongs to the call sites that hold one.
 func popTrack(pool *[][]byte, size, full int) ([]byte, bool) {
 	if n := len(*pool); n > 0 {
 		b := (*pool)[n-1]
