@@ -30,7 +30,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oop"
 	"repro/internal/opal"
-	"repro/internal/path"
 	"repro/internal/store"
 )
 
@@ -267,15 +266,19 @@ func (se *Session) Explain(src string) (string, error) {
 	return p.Explain(), nil
 }
 
-// Path evaluates a path expression (X!a!b@T!c) rooted at a global or a
-// binding in env (may be nil).
+// Path evaluates a path expression in OPAL's path syntax (X!a!b@T!c), or a
+// bare variable, rooted at a global or at a binding in env (may be nil);
+// env's names shadow globals.
 func (se *Session) Path(expr string, env map[string]Value) (Value, error) {
-	return path.EvalString(se.s, expr, path.GlobalsEnv{Session: se.s, Locals: env})
+	return se.in.Path(expr, env, nil)
 }
 
-// PathAssign assigns value at the end of a path expression.
+// PathAssign assigns value at the end of a path expression in OPAL's path
+// syntax. Like an OPAL path assignment it honours element constraints: a
+// value the element's constraint rejects is not stored.
 func (se *Session) PathAssign(expr string, value Value, env map[string]Value) error {
-	return path.AssignString(se.s, expr, path.GlobalsEnv{Session: se.s, Locals: env}, value)
+	_, err := se.in.Path(expr, env, &value)
+	return err
 }
 
 // Print renders any value as OPAL's printString.

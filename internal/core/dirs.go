@@ -439,12 +439,16 @@ func (s *Session) IndexLookup(set oop.OOP, path []string, key directory.Key) ([]
 
 // IndexLookupFunc streams the members of set bound under key to fn through
 // a maintained directory, in directory entry order. It returns
-// ErrNoDirectory (wrapped) when no directory covers the set/path pair, and
+// ErrNoDirectory (wrapped) when no directory covers the set/path pair, the
+// error a scan would meet reading the set (such as a denied read), and
 // otherwise the first error from fn.
 func (s *Session) IndexLookupFunc(set oop.OOP, path []string, key directory.Key, fn func(oop.OOP) error) error {
 	d, ok := s.FindIndex(set, path)
 	if !ok {
 		return fmt.Errorf("%w: %v by %v", ErrNoDirectory, set, path)
+	}
+	if _, _, err := s.lookup(set); err != nil {
+		return err
 	}
 	s.db.met.indexLookups.Inc()
 	s.db.met.cursorOpens.Inc()
@@ -469,12 +473,16 @@ func (s *Session) IndexRange(set oop.OOP, path []string, lo, hi *directory.Key, 
 
 // IndexRangeFunc streams members with keys in [lo,hi] bounds (nil =
 // unbounded) to fn in ascending key order. It returns ErrNoDirectory
-// (wrapped) when no directory covers the set/path pair, and otherwise the
+// (wrapped) when no directory covers the set/path pair, the error a scan
+// would meet reading the set (such as a denied read), and otherwise the
 // first error from fn.
 func (s *Session) IndexRangeFunc(set oop.OOP, path []string, lo, hi *directory.Key, loInc, hiInc bool, fn func(oop.OOP) error) error {
 	d, ok := s.FindIndex(set, path)
 	if !ok {
 		return fmt.Errorf("%w: %v by %v", ErrNoDirectory, set, path)
+	}
+	if _, _, err := s.lookup(set); err != nil {
+		return err
 	}
 	s.db.met.indexLookups.Inc()
 	s.db.met.cursorOpens.Inc()

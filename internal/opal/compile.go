@@ -311,14 +311,20 @@ func (c *compiler) variable(v *varNode) (code, error) {
 }
 
 func (c *compiler) assign(a *assignNode) (code, error) {
-	switch tgt := a.target.(type) {
+	val, err := c.expr(a.value)
+	if err != nil {
+		return nil, err
+	}
+	return c.assignTo(a.target, val)
+}
+
+// assignTo compiles a store of val's value into target, a variable or a
+// path. A store into an element is checked against its constraint.
+func (c *compiler) assignTo(target node, val code) (code, error) {
+	switch tgt := target.(type) {
 	case *varNode:
 		if tgt.name == "self" || tgt.name == "super" {
 			return nil, fmt.Errorf("opal: cannot assign to %s", tgt.name)
-		}
-		val, err := c.expr(a.value)
-		if err != nil {
-			return nil, err
 		}
 		if slot, ok := c.sc.lookup(tgt.name); ok {
 			return func(fr *frame) (oop.OOP, error) {
@@ -351,10 +357,6 @@ func (c *compiler) assign(a *assignNode) (code, error) {
 		if err != nil {
 			return nil, err
 		}
-		val, err := c.expr(a.value)
-		if err != nil {
-			return nil, err
-		}
 		key, err := segCell(last)
 		if err != nil {
 			return nil, err
@@ -375,7 +377,7 @@ func (c *compiler) assign(a *assignNode) (code, error) {
 			return v, in.storeElem(o, key.get(in), v)
 		}, nil
 	}
-	return nil, fmt.Errorf("opal: bad assignment target %T", a.target)
+	return nil, fmt.Errorf("opal: bad assignment target %T", target)
 }
 
 // segCell compiles a path segment's element name. An index is resolved

@@ -7,12 +7,15 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/oop"
 )
 
-// FuzzCompile: for any input, parsing and compiling it as a doIt and as a
-// method either fails with an error or succeeds; neither panics. Seeded with
-// the kernel method sources and every literal evalCases text in this
-// package's tests.
+// FuzzCompile: for any input, parsing and compiling it as a doIt, as a
+// method, and as Interp.Path's read and store either fails with an error or
+// succeeds; none panics. Seeded with the kernel method sources, every
+// literal evalCases text in this package's tests, and path forms and
+// non-paths.
 func FuzzCompile(f *testing.F) {
 	for _, srcs := range kernelSources {
 		for _, src := range srcs {
@@ -22,6 +25,15 @@ func FuzzCompile(f *testing.F) {
 	for _, src := range evalCaseTexts(f) {
 		f.Add(src)
 	}
+	for _, src := range []string{
+		"X!Departments!A16!Managers", "World!'Acme Corp'!president@7!city", "A!1!2",
+		"x ! y @ 3", "x!'it''s'", "x!y@(t - 1)", "World!4611686018427387904",
+		"", "!x", "x!", "x!!y", "x!'unterminated", "x!y@", "x!y@abc", "x!y junk", "7!x",
+		"3 + 4", "World!n printString", "World!n := 3",
+	} {
+		f.Add(src)
+	}
+	stored := oop.Nil
 	f.Fuzz(func(t *testing.T, src string) {
 		if m, err := parseDoIt(src); err == nil {
 			_, _ = compileDoIt(m)
@@ -29,6 +41,8 @@ func FuzzCompile(f *testing.F) {
 		if m, err := parseMethod(src); err == nil {
 			_, _ = compileMethod(m, []string{"n", "name"})
 		}
+		_, _ = compilePath(src, []string{"x", "y"}, nil)
+		_, _ = compilePath(src, []string{"x", "y"}, &stored)
 	})
 }
 

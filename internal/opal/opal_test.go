@@ -30,11 +30,19 @@ func newInterp(t testing.TB) *Interp {
 	return in
 }
 
-// evalCases runs source -> expected printString pairs.
+// evalCases runs each row's source and compares its printString with the
+// row's second text. A second text "error: <msg>" instead expects the source
+// to fail with an error containing <msg>.
 func evalCases(t *testing.T, in *Interp, cases [][2]string) {
 	t.Helper()
 	for _, c := range cases {
 		got, err := in.ExecuteToString(c[0])
+		if want, ok := strings.CutPrefix(c[1], "error: "); ok {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%q = %q (%v), want error containing %q", c[0], got, err, want)
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("%q: %v", c[0], err)
 			continue
@@ -791,6 +799,17 @@ func TestReflectionAndSorting(t *testing.T) {
 		{"3 perform: #squared", "9"},
 		{"3 perform: #+ with: 4", "7"},
 		{"3 perform: 'between:and:' with: 1 with: 5", "true"},
+		// The performed selector's arity must match the arguments given.
+		{"3 perform: #+", "error: #+ takes 1 arguments, given 0"},
+		{"3 perform: #at:put: with: 1", "error: #at:put: takes 2 arguments, given 1"},
+		{"3 perform: #+ with: 4 with: 5", "error: #+ takes 1 arguments, given 2"},
+		{"3 perform: #squared with: 4", "error: #squared takes 0 arguments, given 1"},
+		// Results outside the SmallInteger range fail; they do not panic.
+		{"1.0e19 asInteger", "error: out of SmallInteger range"},
+		{"(-1 sqrt) asInteger", "error: out of SmallInteger range"},
+		{"(0 - 2305843009213693951 - 1) negated", "error: out of SmallInteger range"},
+		{"(0 - 2305843009213693951 - 1) abs", "error: out of SmallInteger range"},
+		{"(0 - 2305843009213693951) negated", "2305843009213693951"},
 		{"#(3 1 2) asSortedCollection: [:a :b | a <= b]", "an OrderedCollection( 1 2 3 )"},
 		{"#(3 1 2) asSortedCollection: [:a :b | a >= b]", "an OrderedCollection( 3 2 1 )"},
 		{"(#('pear' 'fig' 'apple') asSortedCollection: [:a :b | a <= b]) first", "'apple'"},
@@ -954,6 +973,57 @@ func TestSharedSegmentAndGrants(t *testing.T) {
 		// bob granting on HIS OWN home segment is legal; verify it works.
 		t.Errorf("bob granting on his own segment: %v", err)
 	}
+}
+
+// An index plan needs the same read privilege on the set as a scan: Bob,
+// who cannot read Alice's set, is denied under every plan, and the index
+// leaks neither a count nor a row.
+func TestIndexPlanKeepsReadPrivilege(t *testing.T) {
+	db, err := core.Open(t.TempDir(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	interp := func(user, pw string) *Interp {
+		s, err := db.NewSession(user, pw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := NewInterp(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	sysIn := interp(auth.SystemUser, "swordfish")
+	for _, src := range []string{"System createUser: 'alice' password: 'a'", "System createUser: 'bob' password: 'b'"} {
+		if _, err := sysIn.Execute(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aIn := interp("alice", "a")
+	if _, err := aIn.Execute(`| emps e |
+		emps := Set new. World at: #aemps put: emps.
+		1 to: 100 do: [:i | e := Dictionary new. e at: #salary put: i * 1000. emps add: e].
+		System commitTransaction`); err != nil {
+		t.Fatal(err)
+	}
+	denied := [][2]string{
+		{"{ {E: e} where (e in World!aemps) and e!salary > 90000 } size", "error: access denied"},
+		{"{ {E: e} where (e in World!aemps) and e!salary = 42000 } size", "error: access denied"},
+	}
+	evalCases(t, interp("bob", "b"), denied)
+	if _, err := aIn.Execute("World!aemps indexOn: 'salary'. System commitTransaction"); err != nil {
+		t.Fatal(err)
+	}
+	if plan, err := aIn.ExecuteToString("System explain: '{E: e} where (e in World!aemps) and e!salary > 90000'"); err != nil || !strings.Contains(plan, "index-scan") {
+		t.Fatalf("plan after indexOn: = %s (%v)", plan, err)
+	}
+	evalCases(t, aIn, [][2]string{
+		{"{ {E: e} where (e in World!aemps) and e!salary > 90000 } size", "10"},
+		{"{ {E: e} where (e in World!aemps) and e!salary = 42000 } size", "1"},
+	})
+	evalCases(t, interp("bob", "b"), denied)
 }
 
 func TestEmbeddedCalculus(t *testing.T) {

@@ -65,6 +65,15 @@ func (in *Interp) numResult(isFloat bool, i int64, f float64) (oop.OOP, error) {
 	return v, nil
 }
 
+// negatedInt answers -i, or an error when i is MinSmallInt, whose negation
+// is not a SmallInteger.
+func negatedInt(i int64) (oop.OOP, error) {
+	if v, ok := oop.FromInt(-i); ok {
+		return v, nil
+	}
+	return oop.Invalid, fmt.Errorf("opal: %d negated is out of SmallInteger range", i)
+}
+
 func (in *Interp) numPrim(sel string, recv oop.OOP, args []oop.OOP) (oop.OOP, error) {
 	a, ok := in.asNum(recv)
 	if !ok {
@@ -528,7 +537,7 @@ func (in *Interp) installPrimitives() {
 			return in.s.NewFloat(math.Abs(n.f))
 		}
 		if n.i < 0 {
-			return oop.MustInt(-n.i), nil
+			return negatedInt(n.i)
 		}
 		return r, nil
 	})
@@ -537,7 +546,7 @@ func (in *Interp) installPrimitives() {
 		if n.isFloat {
 			return in.s.NewFloat(-n.f)
 		}
-		return oop.MustInt(-n.i), nil
+		return negatedInt(n.i)
 	})
 	in.reg("Number", "asFloat", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		n, ok := in.asNum(r)
@@ -554,7 +563,13 @@ func (in *Interp) installPrimitives() {
 		if !n.isFloat {
 			return r, nil
 		}
-		return oop.MustInt(int64(n.f)), nil
+		// Past ±2^63, and for NaN, Go's conversion answers an arbitrary int64.
+		if math.Abs(n.f) < math.MaxInt64 {
+			if v, ok := oop.FromInt(int64(n.f)); ok {
+				return v, nil
+			}
+		}
+		return oop.Invalid, fmt.Errorf("opal: %s asInteger is out of SmallInteger range", in.safePrint(r))
 	})
 	in.reg("Number", "asCharacter", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		if !r.IsSmallInt() || r.Int() < 0 || r.Int() > 0x10FFFF {

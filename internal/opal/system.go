@@ -3,6 +3,7 @@ package opal
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/auth"
 	"repro/internal/object"
@@ -62,6 +63,18 @@ func (in *Interp) installBlockPrims() {
 	})
 }
 
+// selectorArity answers how many arguments a message takes: one per colon
+// of a keyword selector, one for a binary selector, none for a unary one.
+func selectorArity(sel string) int {
+	if n := strings.Count(sel, ":"); n > 0 {
+		return n
+	}
+	if sel != "" && !isLetter(sel[0]) {
+		return 1
+	}
+	return 0
+}
+
 // installReflectionPrims adds perform:-style reflective dispatch and the
 // sorting primitive backing asSortedCollection:.
 func (in *Interp) installReflectionPrims() {
@@ -79,6 +92,9 @@ func (in *Interp) installReflectionPrims() {
 			sel, ok := selOf(a[0])
 			if !ok {
 				return oop.Invalid, fmt.Errorf("opal: perform: needs a selector")
+			}
+			if want := selectorArity(sel); want != n {
+				return oop.Invalid, fmt.Errorf("opal: perform: #%s takes %d arguments, given %d", sel, want, n)
 			}
 			return in.Send(r, sel, a[1:n+1]...)
 		}

@@ -3,6 +3,7 @@ package opal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -135,6 +136,60 @@ func (in *Interp) ExecuteToString(source string) (string, error) {
 		return "", err
 	}
 	return in.PrintString(v)
+}
+
+// Path evaluates src, one path expression (X!a!b@T!c) or a bare variable,
+// with env's names bound as locals that shadow globals. With store non-nil
+// it assigns *store at the end of the path instead, subject to the
+// element's constraint, and answers it. Any other source is rejected.
+func (in *Interp) Path(src string, env map[string]oop.OOP, store *oop.OOP) (oop.OOP, error) {
+	names := make([]string, 0, len(env))
+	for name := range env {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	m, err := compilePath(src, names, store)
+	if err != nil {
+		return oop.Invalid, err
+	}
+	args := make([]oop.OOP, len(names))
+	for i, name := range names {
+		args[i] = env[name]
+	}
+	return in.run(m, oop.Nil, in.s.DB().Kernel().UndefinedObject, args)
+}
+
+// compilePath compiles Path's read or store of src, with names bound, in
+// order, as the first temps.
+func compilePath(src string, names []string, store *oop.OOP) (*compiledMethod, error) {
+	toks, err := lexSource(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	target, err := p.pathOrVar()
+	if err != nil {
+		return nil, err
+	}
+	if !p.at(tkEOF) {
+		return nil, p.errf("expected end of path, found %s", p.cur())
+	}
+	c := &compiler{sc: newScope(nil)}
+	for _, name := range names {
+		c.sc.bind(name)
+	}
+	var body code
+	if store == nil {
+		body, err = c.expr(target)
+	} else if v, ok := target.(*varNode); ok {
+		err = fmt.Errorf("opal: cannot assign to bare variable %q", v.name)
+	} else {
+		body, err = c.assignTo(target, constant(*store))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &compiledMethod{numTemps: c.sc.next, body: body}, nil
 }
 
 // run executes a compiled method body.
