@@ -3,15 +3,19 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint waivers test race bench bench-gate bench-gate-record gslint
+.PHONY: verify build vet fmt lint waivers test race bench bench-gate bench-gate-record gslint
 
-verify: build vet lint test race
+verify: build vet fmt lint test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would change any Go file in the tree.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # The gslint binary is built once into bin/ and reused by lint, waivers
 # and CI; `go build` is incremental, so repeat runs are near-free.

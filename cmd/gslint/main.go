@@ -5,8 +5,9 @@
 //
 // It exits non-zero if any finding survives. See internal/analysis for the
 // analyzers (locksafe, detmap, wallclock, ooppure, lockorder, unlockpath,
-// errflow, bufown, sessionlife) and the //lint:ignore <analyzer> <reason>
-// suppression syntax. Findings are emitted in package load order.
+// errflow, bufown, sessionlife; the three lock analyzers share one
+// lock-state pass) and the //lint:ignore <analyzer> <reason> suppression
+// syntax. Findings are emitted in package load order.
 //
 // Modes:
 //

@@ -97,6 +97,11 @@ func TestSessionPath(t *testing.T) {
 			{src: "3 + 4", want: "error: expected variable"},
 			{src: "World!n printString", want: "error: expected end of path"},
 			{src: "World!n := 3", want: "error: expected end of path"},
+			// A doIt's @(expr) runs code; a path's time is an integer or
+			// a variable only, so nothing below may run.
+			{src: "World!a!b@(World at: #k put: 1)", want: "error: path time must be an integer or a variable"},
+			{src: "World!n@(World at: #k put: 2)", assign: "3", want: "error: path time must be an integer or a variable"},
+			{src: "World!n@('s')", want: "error: path time must be an integer or a variable"},
 		}},
 		{"EvalPaperQueries", []pathRow{
 			{src: "World!'Acme Corp'!president", want: "Milton"},
@@ -149,6 +154,9 @@ func TestSessionPath(t *testing.T) {
 				}
 			}
 		})
+	}
+	if got, err := s.Path("World!k", nil); err != nil || got != Nil {
+		t.Errorf("World!k = %v (%v), want nil: a path's time subscript ran code", got, err)
 	}
 	// The store the constraint rejected left nothing behind to commit.
 	if _, err := s.Commit(); err != nil {

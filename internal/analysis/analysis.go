@@ -3,8 +3,9 @@
 // machine-check the paper's implementation invariants:
 //
 //	locksafe    — fields annotated "guards"/"guarded by" are only touched
-//	              under their mutex (the shared-cache and commit-lock
-//	              discipline of internal/core, internal/store, internal/txn)
+//	              where their mutex is held on every path (the
+//	              shared-cache and commit-lock discipline of internal/core,
+//	              internal/store, internal/txn)
 //	detmap      — no unordered map iteration on serialization/commit/wire
 //	              paths, so track images and replication streams are
 //	              byte-deterministic
@@ -19,7 +20,7 @@
 //	              mutexes in opposite orders (deadlock freedom)
 //	unlockpath  — every Lock/RLock is paired with a release on every path
 //	              out of the function (early returns, explicit panics),
-//	              interprocedurally through lock-effect summaries
+//	              interprocedurally through lock summaries
 //	errflow     — error results born on the durability path (track/replica
 //	              writes, syncs, superblock flips) flow to a return, log,
 //	              or health transition — never _ or a dead assignment
@@ -31,15 +32,16 @@
 //	              function and are never used after (the
 //	              bootstrap-session-leak class)
 //
-// lockorder, unlockpath, errflow, bufown and sessionlife are built on the
-// whole-program layer (Program, BuildProgram): a call graph over every
-// loaded package plus per-function lock summaries, computed once per run
-// and shared through Pass.Prog. unlockpath and errflow additionally run
-// path-sensitively over per-function control-flow graphs (CFGOf) with the
-// forward-dataflow fixpoint solver (FlowSpec, Forward); bufown and
-// sessionlife run the typestate engine (typestate.go) — per-value finite
-// state machines with light alias tracking and interprocedural consume
-// summaries — on the same CFGs.
+// locksafe, lockorder, unlockpath, errflow, bufown and sessionlife are
+// built on the whole-program layer (Program, BuildProgram): a call graph
+// over every loaded package, computed once per run and shared through
+// Pass.Prog. They run path-sensitively over per-function control-flow
+// graphs (CFGOf) with the forward-dataflow fixpoint solver (FlowSpec,
+// Forward). The three lock analyzers read one lock-state pass and one
+// per-function lock summary (locks.go); errflow has its own reaching
+// definitions; bufown and sessionlife run the typestate engine
+// (typestate.go) — per-value finite state machines with light alias
+// tracking and interprocedural consume summaries.
 //
 // Intentional exceptions are written in the source as
 //

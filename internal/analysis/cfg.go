@@ -6,12 +6,12 @@ import (
 )
 
 // cfg.go builds a per-function control-flow graph over the raw AST — the
-// foundation of the path-sensitive analyzers (unlockpath, errflow). The
-// graph is deliberately statement-grained: each Block carries the leaf
-// statements and control expressions that execute in order when the block
-// runs, and edges follow every branch, loop back edge, early return,
-// explicit panic, goto, break/continue (labeled or not), switch
-// fallthrough and select arm.
+// foundation of the path-sensitive analyzers (the lock family, errflow,
+// bufown, sessionlife). The graph is deliberately statement-grained: each
+// Block carries the leaf statements and control expressions that execute
+// in order when the block runs, and edges follow every branch, loop back
+// edge, early return, explicit panic, goto, break/continue (labeled or
+// not), switch fallthrough and select arm.
 //
 // Shape rules:
 //
@@ -440,7 +440,7 @@ func nodeWalk(n ast.Node, fn func(ast.Node) bool) {
 			return false
 		}
 		if _, ok := c.(*ast.FuncLit); ok {
-			fn(c) // the literal itself is visible (creation point) ...
+			fn(c)        // the literal itself is visible (creation point) ...
 			return false // ... its body is not
 		}
 		return fn(c)

@@ -20,10 +20,10 @@ package analysis
 //     builds, the classic round-robin worklist converges in a handful of
 //     passes.
 type FlowSpec struct {
-	Init     func() any              // state entering the Entry block
-	Transfer func(*Block, any) any   // out-state of a block given its in-state
-	Join     func(a, b any) any      // merge two predecessor out-states
-	Equal    func(a, b any) bool     // has the state stabilized?
+	Init     func() any            // state entering the Entry block
+	Transfer func(*Block, any) any // out-state of a block given its in-state
+	Join     func(a, b any) any    // merge two predecessor out-states
+	Equal    func(a, b any) bool   // has the state stabilized?
 }
 
 // FlowResult holds the fixpoint: the state entering and leaving each

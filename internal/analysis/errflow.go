@@ -80,14 +80,12 @@ func runErrflow(pass *Pass) {
 type errflowIndex struct {
 	prog     *Program
 	contains map[*Func]int8 // transitively contains a base source: 0 ?, 1 yes, 2 no
-	calls    map[*Func]map[token.Pos]*Call
 }
 
 func computeErrflow(prog *Program, paths []string) []errflowFinding {
 	idx := &errflowIndex{
 		prog:     prog,
 		contains: make(map[*Func]int8),
-		calls:    make(map[*Func]map[token.Pos]*Call),
 	}
 	scope := &Analyzer{Paths: paths}
 	var out []errflowFinding
@@ -170,27 +168,6 @@ func (idx *errflowIndex) containsSource(f *Func) bool {
 	return found
 }
 
-// callAt resolves a call site through f's resolved calls (single static
-// target or nil).
-func (idx *errflowIndex) callAt(f *Func, call *ast.CallExpr) *Func {
-	m := idx.calls[f]
-	if m == nil {
-		m = make(map[token.Pos]*Call, len(f.Calls))
-		for i := range f.Calls {
-			c := &f.Calls[i]
-			if _, ok := m[c.Pos]; !ok {
-				m[c.Pos] = c
-			}
-		}
-		idx.calls[f] = m
-	}
-	c := m[call.Pos()]
-	if c == nil || c.Dynamic || len(c.Callees) != 1 {
-		return nil
-	}
-	return c.Callees[0]
-}
-
 // isSourceCall reports whether this call site yields a durability error:
 // a base source, or a call to a derived source function.
 func (idx *errflowIndex) isSourceCall(f *Func, call *ast.CallExpr) bool {
@@ -200,7 +177,7 @@ func (idx *errflowIndex) isSourceCall(f *Func, call *ast.CallExpr) bool {
 	if !lastResultIsError(f.Pkg.Info, call) {
 		return false
 	}
-	callee := idx.callAt(f, call)
+	callee := idx.prog.StaticCallee(call)
 	return callee != nil && idx.containsSource(callee)
 }
 

@@ -217,3 +217,25 @@ func TestLockorderWaiver(t *testing.T) {
 	}
 	wantFindings(t, checkFixture(t, "repro/fx", waived, Lockorder()))
 }
+
+// One cycle per group of mutually reachable locks, through its smallest
+// lock: C lies in A's group but off its shortest cycle, so it adds none.
+func TestLockCyclesOnePerGroup(t *testing.T) {
+	g := &lockGraph{edges: map[[2]string]*lockEdge{}, nodes: map[string]LockID{}}
+	for _, e := range [][2]string{{"A", "B"}, {"B", "A"}, {"B", "C"}, {"C", "A"}, {"C", "C"}, {"D", "E"}, {"E", "D"}, {"E", "F"}} {
+		g.edges[e] = &lockEdge{}
+		g.nodes[e[0]] = LockID{name: e[0]}
+		g.nodes[e[1]] = LockID{name: e[1]}
+	}
+	var got []string
+	for _, cycle := range lockCycles(g) {
+		var names []string
+		for _, id := range cycle {
+			names = append(names, id.String())
+		}
+		got = append(got, strings.Join(names, "→"))
+	}
+	if want := "A→B D→E"; strings.Join(got, " ") != want {
+		t.Fatalf("cycles = %q, want %q", got, want)
+	}
+}

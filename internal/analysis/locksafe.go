@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"regexp"
 	"strings"
 )
@@ -15,15 +16,15 @@ import (
 //	mu sync.Mutex // guards a, b, c
 //
 // (or a data field annotated "guarded by mu") may only be accessed through
-// the receiver in methods that lock that mutex first, or in methods whose
-// name ends in "Locked" (the convention for helpers whose callers hold the
-// lock). Writes require Lock; RLock only licenses reads.
-//
-// The check is intentionally flow-insensitive: a Lock call anywhere before
-// the access (by source position) satisfies it, and cross-struct accesses
-// (x.y.field where x.y is not the receiver) are out of scope. It catches
-// the common failure — a new method or branch that forgets the lock — not
-// every interleaving.
+// the receiver where that mutex, taken through the same receiver, is held
+// on every path to the access, or in methods whose name ends in "Locked"
+// (the convention for helpers whose callers hold the lock). Writes require
+// Lock; RLock only licenses reads. The held sets come from the lock-state
+// pass (locks.go), so an access after the Unlock, or in the arm of a branch
+// that did not lock, is reported. A function literal inside a method is
+// checked against the locks held where it is created as well as its own.
+// Cross-struct accesses (x.y.field where x.y is not the receiver) are out
+// of scope.
 func Locksafe() *Analyzer {
 	a := &Analyzer{
 		Name: "locksafe",
@@ -43,7 +44,7 @@ type guardSet map[string]string
 
 func runLocksafe(pass *Pass) {
 	// structGuards: named struct type -> guarded fields.
-	structGuards := make(map[*types.Named]guardSet)
+	structGuards := make(map[types.Type]guardSet)
 
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -59,13 +60,8 @@ func runLocksafe(pass *Pass) {
 			if obj == nil {
 				return true
 			}
-			named, ok := obj.Type().(*types.Named)
-			if !ok {
-				return true
-			}
-			gs := collectGuards(pass, ts.Name.Name, st)
-			if len(gs) > 0 {
-				structGuards[named] = gs
+			if gs := collectGuards(pass, ts.Name.Name, st); len(gs) > 0 {
+				structGuards[obj.Type()] = gs
 			}
 			return true
 		})
@@ -74,21 +70,26 @@ func runLocksafe(pass *Pass) {
 		return
 	}
 
+	locks := locksOf(pass.Prog)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}
-			recvNamed, recvObj := receiverOf(pass, fd)
-			if recvNamed == nil || recvObj == nil {
+			fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
 				continue
 			}
-			gs, ok := structGuards[recvNamed]
-			if !ok {
-				continue
+			recv := fn.Type().(*types.Signature).Recv()
+			t := recv.Type()
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
 			}
-			checkMethodLocks(pass, fd, recvObj, gs)
+			if gs, ok := structGuards[t]; ok {
+				g := &guardCheck{pass: pass, locks: locks, recv: recv, gs: gs, writes: writeTargets(fd.Body)}
+				g.check(pass.Prog.FuncOf(fn), nil)
+			}
 		}
 	}
 }
@@ -149,90 +150,56 @@ func fieldComment(f *ast.Field) string {
 	return strings.Join(parts, " ")
 }
 
-// receiverOf resolves the method's receiver named type and variable.
-func receiverOf(pass *Pass, fd *ast.FuncDecl) (*types.Named, *types.Var) {
-	if len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-		return nil, nil
-	}
-	ident := fd.Recv.List[0].Names[0]
-	obj, ok := pass.Info.Defs[ident].(*types.Var)
-	if !ok {
-		return nil, nil
-	}
-	t := obj.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named, obj
+// guardCheck checks the guarded receiver accesses of one method.
+type guardCheck struct {
+	pass   *Pass
+	locks  *lockIndex
+	recv   *types.Var
+	gs     guardSet
+	writes map[*ast.SelectorExpr]bool
 }
 
-type lockCall struct {
-	pos  token.Pos
-	mu   string
-	read bool // RLock rather than Lock
-}
-
-// checkMethodLocks verifies guarded-field accesses within one method.
-func checkMethodLocks(pass *Pass, fd *ast.FuncDecl, recv *types.Var, gs guardSet) {
-	if strings.HasSuffix(fd.Name.Name, "Locked") {
-		return
-	}
-	var locks []lockCall
-	// First pass: find recv.<mu>.Lock() / RLock() calls.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		method := sel.Sel.Name
-		if method != "Lock" && method != "RLock" {
-			return true
-		}
-		inner, ok := sel.X.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := inner.X.(*ast.Ident)
-		if !ok || pass.Info.Uses[base] != recv {
-			return true
-		}
-		locks = append(locks, lockCall{pos: call.Pos(), mu: inner.Sel.Name, read: method == "RLock"})
-		return true
-	})
-
-	// Second pass: guarded accesses.
-	writes := writeTargets(fd.Body)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := sel.X.(*ast.Ident)
-		if !ok || pass.Info.Uses[base] != recv {
-			return true
-		}
-		mu, guarded := gs[sel.Sel.Name]
-		if !guarded {
-			return true
-		}
-		isWrite := writes[sel]
-		if !lockHeldBefore(locks, mu, sel.Pos(), isWrite) {
+// check reports the guarded accesses in f — the method or a literal inside
+// it — whose mutex is not held on every path. outer is what is held on
+// every path to the literal's creation.
+func (g *guardCheck) check(f *Func, outer map[heldLock]bool) {
+	g.locks.replay(f, lockHooks{visit: func(n ast.Node, st *lockState) {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			inner := maps.Clone(st.must)
+			maps.Copy(inner, outer)
+			g.check(g.pass.Prog.byLit[n], inner)
+		case *ast.SelectorExpr:
+			base, ok := n.X.(*ast.Ident)
+			if !ok || g.pass.Info.Uses[base] != g.recv {
+				return
+			}
+			mu, guarded := g.gs[n.Sel.Name]
+			if !guarded {
+				return
+			}
+			write := g.writes[n]
+			licensed := func(held map[heldLock]bool) bool {
+				for t := range held {
+					if t.via == g.recv && t.id.Var.Name() == mu && (!write || !t.read) {
+						return true
+					}
+				}
+				return false
+			}
+			if licensed(st.must) || licensed(outer) {
+				return
+			}
 			kind := "read"
 			need := fmt.Sprintf("%s.%s.Lock or RLock", base.Name, mu)
-			if isWrite {
+			if write {
 				kind = "write"
 				need = fmt.Sprintf("%s.%s.Lock", base.Name, mu)
 			}
-			pass.Reportf(sel.Pos(), "%s of %s.%s without %s (or name the method *Locked)",
-				kind, base.Name, sel.Sel.Name, need)
+			g.pass.Reportf(n.Pos(), "%s of %s.%s without %s (or name the method *Locked)",
+				kind, base.Name, n.Sel.Name, need)
 		}
-		return true
-	})
+	}})
 }
 
 // writeTargets marks selector expressions that are assigned to (or have
@@ -275,18 +242,4 @@ func writeTargets(body ast.Node) map[*ast.SelectorExpr]bool {
 		return true
 	})
 	return out
-}
-
-// lockHeldBefore reports whether a satisfying lock call precedes pos.
-func lockHeldBefore(locks []lockCall, mu string, pos token.Pos, write bool) bool {
-	for _, l := range locks {
-		if l.mu != mu || l.pos >= pos {
-			continue
-		}
-		if write && l.read {
-			continue
-		}
-		return true
-	}
-	return false
 }

@@ -75,3 +75,69 @@ type S struct {
 	got := checkFixture(t, "repro/internal/fx", src, Locksafe())
 	wantFindings(t, got, "bogus")
 }
+
+// The guard must be held on every path to the access, through the
+// receiver: a Lock earlier in the source is not enough.
+const locksafeFlowFixture = `package fx
+
+import "sync"
+
+type Cache struct {
+	mu    sync.Mutex // guards items, hits
+	items map[int]int
+	hits  int
+}
+
+func (c *Cache) AfterUnlock(k int) int {
+	c.mu.Lock()
+	c.hits++
+	c.mu.Unlock()
+	return c.items[k]
+}
+
+func (c *Cache) OneBranch(fast bool) int {
+	if !fast {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	return c.hits
+}
+
+func (c *Cache) MoveTo(o *Cache) {
+	c.mu.Lock()
+	n := c.hits
+	c.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.hits = n
+}
+
+func (c *Cache) BothBranches(fast bool) int {
+	if fast {
+		c.mu.Lock()
+	} else {
+		c.mu.Lock()
+	}
+	defer c.mu.Unlock()
+	return c.hits
+}
+
+func (c *Cache) Each(fn func(int)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	func() {
+		for k := range c.items {
+			fn(k)
+		}
+	}()
+}
+`
+
+func TestLocksafeHeldOnEveryPath(t *testing.T) {
+	got := checkFixture(t, "repro/internal/fx", locksafeFlowFixture, Locksafe())
+	wantFindings(t, got,
+		"read of c.items without c.mu.Lock or RLock", // AfterUnlock
+		"read of c.hits without c.mu.Lock or RLock",  // OneBranch
+		"write of c.hits without c.mu.Lock",          // MoveTo: o.mu is held
+	)
+}

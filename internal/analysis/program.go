@@ -10,9 +10,9 @@ import (
 )
 
 // Program is gslint's whole-program layer: every loaded package, a
-// conservative call graph over them, and per-function summaries (lock
-// acquisitions/releases, call sites) that the interprocedural analyzers
-// (lockorder, unlockpath, errflow, bufown, sessionlife) build on. It is
+// conservative call graph over them, and per-function facts (lock events,
+// resolved call sites) that the interprocedural analyzers (locksafe,
+// lockorder, unlockpath, errflow, bufown, sessionlife) build on. It is
 // constructed once per gslint run by BuildProgram and handed to every
 // Pass.
 //
@@ -51,6 +51,7 @@ type Program struct {
 	ifaceMu map[ifaceMethod][]*Func // interface dispatch cache
 	memo    map[string]any          // per-analyzer whole-program results
 	cfgs    map[*Func]*CFG          // lazily built control-flow graphs
+	sites   map[ast.Node]*Call      // call expression or literal -> its Call
 }
 
 type ifaceMethod struct {
@@ -81,6 +82,8 @@ type Call struct {
 	Pos     token.Pos
 	Callees []*Func
 	Dynamic bool
+
+	site ast.Node // the *ast.CallExpr, or the *ast.FuncLit of a creation site
 }
 
 // LockOp distinguishes acquisitions from releases.
@@ -99,6 +102,9 @@ type LockEvent struct {
 	Op       LockOp
 	Read     bool // RLock/RUnlock
 	Deferred bool // directly deferred: runs at function exit
+	// Via is the variable the mutex field is selected from (c in
+	// c.mu.Lock()), or nil when the lock expression is any other shape.
+	Via types.Object
 }
 
 // LockID names one program lock: a sync.Mutex/RWMutex struct field or
@@ -126,6 +132,7 @@ func BuildProgram(pkgs []*Package) *Program {
 		ifaceMu: make(map[ifaceMethod][]*Func),
 		memo:    make(map[string]any),
 		cfgs:    make(map[*Func]*CFG),
+		sites:   make(map[ast.Node]*Call),
 	}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
@@ -158,6 +165,17 @@ func (p *Program) FuncOf(fn *types.Func) *Func {
 		return nil
 	}
 	return p.byObj[fn]
+}
+
+// StaticCallee returns the single static program target of a call
+// expression, or nil for external, dynamic, interface and multi-target
+// calls.
+func (p *Program) StaticCallee(call *ast.CallExpr) *Func {
+	c := p.sites[call]
+	if c == nil || c.Dynamic || len(c.Callees) != 1 {
+		return nil
+	}
+	return c.Callees[0]
 }
 
 // Once computes a whole-program result at most once per run. Analyzers
@@ -239,7 +257,7 @@ func (p *Program) litNode(pkg *Package, parent *Func, lit *ast.FuncLit) *Func {
 	p.Funcs = append(p.Funcs, f)
 	p.byLit[lit] = f
 	if parent != nil {
-		parent.Calls = append(parent.Calls, Call{Pos: lit.Pos(), Callees: []*Func{f}})
+		parent.Calls = append(parent.Calls, Call{Pos: lit.Pos(), Callees: []*Func{f}, site: lit})
 	}
 	p.walkBody(pkg, f, lit.Body)
 	return f
@@ -316,7 +334,13 @@ func lockEventOf(info *types.Info, call *ast.CallExpr, deferred bool) (LockEvent
 	if !ok {
 		return LockEvent{}, false
 	}
-	return LockEvent{Pos: call.Pos(), Lock: id, Op: op, Read: read, Deferred: deferred}, true
+	ev := LockEvent{Pos: call.Pos(), Lock: id, Op: op, Read: read, Deferred: deferred}
+	if field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+		if base, ok := ast.Unparen(field.X).(*ast.Ident); ok {
+			ev.Via = info.Uses[base]
+		}
+	}
+	return ev, true
 }
 
 // lockIDOf resolves the expression a Lock/Unlock method is called on to a
@@ -439,11 +463,15 @@ func (p *Program) resolveCalls() {
 	for _, f := range p.Funcs {
 		for _, call := range f.rawCalls {
 			if c, ok := p.resolveCall(f.Pkg, call); ok {
+				c.site = call
 				f.Calls = append(f.Calls, c)
 			}
 		}
 		f.rawCalls = nil
 		sort.Slice(f.Calls, func(i, j int) bool { return f.Calls[i].Pos < f.Calls[j].Pos })
+		for i := range f.Calls {
+			p.sites[f.Calls[i].site] = &f.Calls[i]
+		}
 	}
 }
 

@@ -107,12 +107,11 @@ type tsFinding struct {
 	msg string
 }
 
-// tsIndex carries the per-run caches shared across functions: call-site
-// resolution and the per-parameter consume summaries.
+// tsIndex carries the per-run caches shared across functions: the
+// per-parameter consume summaries.
 type tsIndex struct {
 	prog     *Program
 	proto    *TSProtocol
-	calls    map[*Func]map[token.Pos]*Call
 	consumed map[*Func][]int8 // per-parameter: 0 unknown, 1 consumes, 2 not
 	onSum    map[*Func]bool   // summary recursion cut
 }
@@ -123,7 +122,6 @@ func RunTypestate(prog *Program, proto *TSProtocol, paths []string) []tsFinding 
 	idx := &tsIndex{
 		prog:     prog,
 		proto:    proto,
-		calls:    make(map[*Func]map[token.Pos]*Call),
 		consumed: make(map[*Func][]int8),
 		onSum:    make(map[*Func]bool),
 	}
@@ -166,27 +164,6 @@ func (idx *tsIndex) hasBirth(f *Func) bool {
 		return true
 	})
 	return found
-}
-
-// callAt resolves a call expression to its single static program target,
-// or nil (external, dynamic, interface, multi-target).
-func (idx *tsIndex) callAt(f *Func, call *ast.CallExpr) *Func {
-	m := idx.calls[f]
-	if m == nil {
-		m = make(map[token.Pos]*Call, len(f.Calls))
-		for i := range f.Calls {
-			c := &f.Calls[i]
-			if _, ok := m[c.Pos]; !ok {
-				m[c.Pos] = c
-			}
-		}
-		idx.calls[f] = m
-	}
-	c := m[call.Pos()]
-	if c == nil || c.Dynamic || len(c.Callees) != 1 {
-		return nil
-	}
-	return c.Callees[0]
 }
 
 // tsState is the dataflow state: which cells each local may be bound to,
@@ -561,7 +538,7 @@ func (s *tsScan) call(call *ast.CallExpr, st *tsState, deferred bool) map[cellID
 	// Ordinary call: arguments are borrows, unless the callee's summary
 	// says it consumes that parameter on every return.
 	s.walkEval(call.Fun, st)
-	callee := s.idx.callAt(s.f, call)
+	callee := s.idx.prog.StaticCallee(call)
 	for i, a := range call.Args {
 		cells := s.eval(a, st)
 		if len(cells) == 0 || callee == nil || callee == s.f {
@@ -1152,7 +1129,7 @@ func (idx *tsIndex) pcCall(callee *Func, info *types.Info, call *ast.CallExpr, s
 		}
 		return
 	}
-	next := idx.callAt(callee, call)
+	next := idx.prog.StaticCallee(call)
 	if next == nil || next == callee {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -14,30 +13,13 @@ import (
 // fall-off exit, and explicit panics. A `defer mu.Unlock()` registered on
 // the path covers every later exit (including panic unwinding — the
 // "panics-via-defer" case); a plain Unlock covers only the paths that
-// execute it. The check is interprocedural through the lock summaries:
-// a call to a helper whose net effect releases the mutex on every return
-// counts as the release, and a call to an acquire-helper counts as the
-// acquisition (charged to the caller, who must then release it).
-//
-// Conservatism rules:
-//
-//   - Held-ness is a may-analysis over the CFG with per-exit-edge
-//     checking: a lock acquired under a condition and released under the
-//     same (correlated) condition elsewhere is reported, because the
-//     analyzer cannot prove the conditions coincide — restructure or
-//     waive such designs.
-//   - A function that deliberately returns holding a lock (a naked
-//     acquire helper) is reported at its own exits; if the design is
-//     intentional, waive it at the acquisition site.
-//   - Helper effects apply only to statically resolved single-target
-//     calls whose net effect is identical on every return path; dynamic
-//     and interface calls, and helpers with path-dependent effects,
-//     contribute nothing.
-//   - Release matching is mode-aware: Lock pairs with Unlock, RLock with
-//     RUnlock; a deferred RUnlock does not cover a write Lock.
-//   - Explicit panic(...) statements are exits; calls that merely may
-//     panic are not, so only a deliberate panic under a held lock without
-//     a deferred release is reported.
+// execute it. It reads the may-held set of the lock-state pass (locks.go)
+// at each exit, so it is interprocedural through the lock summaries: a
+// call to a helper whose net effect releases the mutex on every return
+// counts as the release, and a call to an acquire helper counts as the
+// acquisition (charged to the caller, who must then release it). A
+// function that deliberately returns holding a lock is reported at its
+// own exits; if the design is intentional, waive it at the acquisition.
 func Unlockpath(paths ...string) *Analyzer {
 	return &Analyzer{
 		Name:  "unlockpath",
@@ -61,302 +43,35 @@ func runUnlockpath(pass *Pass) {
 	}
 }
 
-// modeKey names a lock together with its read/write mode, the unit of
-// pairing: Lock/Unlock share one key, RLock/RUnlock another.
-func modeKey(id LockID, read bool) string {
-	if read {
-		return id.name + "/R"
-	}
-	return id.name
-}
-
-// upToken is one outstanding acquisition on some path.
-type upToken struct {
-	id   LockID
-	read bool
-	pos  token.Pos
-}
-
-// upState is the dataflow state: the acquisitions that may be
-// outstanding, and the mode keys for which a deferred release has been
-// registered on this path.
-type upState struct {
-	held   map[upToken]bool
-	defers map[string]bool
-}
-
-func (s *upState) clone() *upState {
-	c := &upState{held: make(map[upToken]bool, len(s.held)), defers: make(map[string]bool, len(s.defers))}
-	for t := range s.held {
-		c.held[t] = true
-	}
-	for k := range s.defers {
-		c.defers[k] = true
-	}
-	return c
-}
-
-func upJoin(a, b any) any {
-	x, y := a.(*upState), b.(*upState)
-	j := x.clone()
-	for t := range y.held {
-		j.held[t] = true
-	}
-	for k := range y.defers {
-		j.defers[k] = true
-	}
-	return j
-}
-
-func upEqual(a, b any) bool {
-	x, y := a.(*upState), b.(*upState)
-	if len(x.held) != len(y.held) || len(x.defers) != len(y.defers) {
-		return false
-	}
-	for t := range x.held {
-		if !y.held[t] {
-			return false
-		}
-	}
-	for k := range x.defers {
-		if !y.defers[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// lockEffect is a function's net lock effect as seen by its callers:
-// net[k] > 0 means the lock is held on return (an acquire helper),
-// net[k] < 0 means the function releases a lock its caller holds. known
-// is false when paths disagree or the body is unanalyzable.
-type lockEffect struct {
-	known bool
-	net   map[string]int
-	refs  map[string]lockRef
-}
-
-type lockRef struct {
-	id   LockID
-	read bool
-}
-
-var unknownEffect = &lockEffect{}
-
-// unlockpathIndex carries the per-run caches: helper effects, the set of
-// functions that transitively touch locks, and call resolution.
-type unlockpathIndex struct {
-	prog    *Program
-	effects map[*Func]*lockEffect
-	onEff   map[*Func]bool
-	touches map[*Func]int8 // 0 unknown, 1 yes, 2 no
-	calls   map[*Func]map[token.Pos]*Call
-}
-
 func computeUnlockpath(prog *Program) []unlockFinding {
-	idx := &unlockpathIndex{
-		prog:    prog,
-		effects: make(map[*Func]*lockEffect),
-		onEff:   make(map[*Func]bool),
-		touches: make(map[*Func]int8),
-		calls:   make(map[*Func]map[token.Pos]*Call),
-	}
+	locks := locksOf(prog)
 	var out []unlockFinding
 	for _, f := range prog.Funcs {
-		if !idx.touchesLocks(f) {
-			continue
+		if fl := locks.flows[f]; fl != nil {
+			out = append(out, checkExits(prog.Fset, fl)...)
 		}
-		out = append(out, idx.checkFunc(f)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
 	return out
 }
 
-// touchesLocks reports whether f or anything it statically calls has lock
-// events — the cheap gate before building CFGs.
-func (idx *unlockpathIndex) touchesLocks(f *Func) bool {
-	switch idx.touches[f] {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	idx.touches[f] = 2 // cut cycles: a back edge contributes nothing new
-	result := len(f.Locks) > 0
-	if !result {
-	search:
-		for i := range f.Calls {
-			for _, callee := range f.Calls[i].Callees {
-				if idx.touchesLocks(callee) {
-					result = true
-					break search
-				}
-			}
-		}
-	}
-	if result {
-		idx.touches[f] = 1
-	}
-	return result
-}
-
-// callAt resolves a call expression through the program's resolved call
-// sites, returning the single static target or nil (external, dynamic,
-// interface, or multi-target).
-func (idx *unlockpathIndex) callAt(f *Func, call *ast.CallExpr) *Func {
-	m := idx.calls[f]
-	if m == nil {
-		m = make(map[token.Pos]*Call, len(f.Calls))
-		for i := range f.Calls {
-			c := &f.Calls[i]
-			if _, ok := m[c.Pos]; !ok {
-				m[c.Pos] = c
-			}
-		}
-		idx.calls[f] = m
-	}
-	c := m[call.Pos()]
-	if c == nil || c.Dynamic || len(c.Callees) != 1 {
-		return nil
-	}
-	return c.Callees[0]
-}
-
-// lockWalk walks one CFG node in source order, reporting lock events to
-// the callbacks: direct mutex operations, helper-call effects, and their
-// deferred forms. Function literal bodies are pruned (they are their own
-// functions); a literal invoked where it is written is resolved like any
-// call.
-type lockWalk struct {
-	idx  *unlockpathIndex
-	f    *Func
-	info *types.Info
-
-	acquire      func(id LockID, read bool, pos token.Pos)
-	release      func(id LockID, read bool)
-	deferRelease func(id LockID, read bool)
-}
-
-func (w *lockWalk) node(n ast.Node, deferred bool) {
-	if n == nil {
-		return
-	}
-	switch n := n.(type) {
-	case *ast.DeferStmt:
-		for _, a := range n.Call.Args {
-			w.node(a, false) // arguments are evaluated at registration
-		}
-		w.call(n.Call, true)
-		return
-	case *ast.GoStmt:
-		for _, a := range n.Call.Args {
-			w.node(a, false)
-		}
-		return // the goroutine's locks are its own
-	case *ast.FuncLit:
-		return
-	case *ast.CallExpr:
-		w.node(n.Fun, false)
-		for _, a := range n.Args {
-			w.node(a, false)
-		}
-		w.call(n, deferred)
-		return
-	}
-	ast.Inspect(n, func(c ast.Node) bool {
-		if c == n {
-			return true
-		}
-		w.node(c, false)
-		return false
-	})
-}
-
-func (w *lockWalk) call(call *ast.CallExpr, deferred bool) {
-	if ev, ok := lockEventOf(w.info, call, deferred); ok {
-		switch {
-		case ev.Op == LockRelease && deferred:
-			w.deferRelease(ev.Lock, ev.Read)
-		case ev.Op == LockAcquire && !deferred:
-			w.acquire(ev.Lock, ev.Read, ev.Pos)
-		case ev.Op == LockRelease:
-			w.release(ev.Lock, ev.Read)
-		}
-		// A deferred Lock runs after the body; nothing to track.
-		return
-	}
-	callee := w.idx.callAt(w.f, call)
-	if callee == nil || callee == w.f {
-		return
-	}
-	eff := w.idx.effectOf(callee)
-	if !eff.known {
-		return
-	}
-	keys := make([]string, 0, len(eff.net))
-	for k := range eff.net {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		n, ref := eff.net[k], eff.refs[k]
-		switch {
-		case n < 0 && deferred:
-			w.deferRelease(ref.id, ref.read)
-		case n < 0:
-			w.release(ref.id, ref.read)
-		case n > 0 && !deferred:
-			w.acquire(ref.id, ref.read, call.Pos())
-		}
-	}
-}
-
-// checkFunc runs the may-held analysis over f and reports every
-// acquisition that can reach an exit uncovered.
-func (idx *unlockpathIndex) checkFunc(f *Func) []unlockFinding {
-	cfg := idx.prog.CFGOf(f)
-	w := &lockWalk{idx: idx, f: f, info: f.Pkg.Info}
-	res := cfg.Forward(FlowSpec{
-		Init: func() any { return &upState{held: map[upToken]bool{}, defers: map[string]bool{}} },
-		Transfer: func(b *Block, in any) any {
-			st := in.(*upState).clone()
-			w.acquire = func(id LockID, read bool, pos token.Pos) {
-				st.held[upToken{id: id, read: read, pos: pos}] = true
-			}
-			w.release = func(id LockID, read bool) {
-				for t := range st.held {
-					if t.id.name == id.name && t.read == read {
-						delete(st.held, t)
-					}
-				}
-			}
-			w.deferRelease = func(id LockID, read bool) {
-				st.defers[modeKey(id, read)] = true
-			}
-			for _, n := range b.Nodes {
-				w.node(n, false)
-			}
-			return st
-		},
-		Join:  upJoin,
-		Equal: upEqual,
-	})
-
+// checkExits reports every acquisition that may still be held, with no
+// deferred release registered, at an exit of the function.
+func checkExits(fset *token.FileSet, fl *lockFlow) []unlockFinding {
 	// One finding per leaked acquisition, naming every exit it reaches.
-	exits := make(map[upToken][]string)
-	for _, b := range cfg.ExitPreds() {
-		out, ok := res.Out[b].(*upState)
+	exits := make(map[heldLock][]string)
+	for _, b := range fl.cfg.ExitPreds() {
+		out, ok := fl.res.Out[b].(*lockState)
 		if !ok {
 			continue // unreachable exit
 		}
-		for t := range out.held {
-			if out.defers[modeKey(t.id, t.read)] {
-				continue
+		for t := range out.may {
+			if !out.defers[t.lockKey] {
+				exits[t] = append(exits[t], exitDesc(fset, b))
 			}
-			exits[t] = append(exits[t], exitDesc(idx.prog.Fset, b))
 		}
 	}
-	tokens := make([]upToken, 0, len(exits))
+	tokens := make([]heldLock, 0, len(exits))
 	for t := range exits {
 		tokens = append(tokens, t)
 	}
@@ -372,7 +87,7 @@ func (idx *unlockpathIndex) checkFunc(f *Func) []unlockFinding {
 		out = append(out, unlockFinding{
 			pos: t.pos,
 			msg: fmt.Sprintf("%s.%s() in %s is not released on every path: still held at %s — unlock before each exit or defer the unlock",
-				t.id, op, f.Name, strings.Join(descs, ", ")),
+				t.id, op, fl.fn.Name, strings.Join(descs, ", ")),
 		})
 	}
 	return out
@@ -387,160 +102,4 @@ func exitDesc(fset *token.FileSet, b *Block) string {
 	default:
 		return "function end"
 	}
-}
-
-// effState is the summary-analysis state: net lock counts on this path
-// and the deferred releases registered so far. bad marks a path mixture
-// the summary cannot describe.
-type effState struct {
-	bad    bool
-	net    map[string]int
-	defers map[string]bool
-	refs   map[string]lockRef
-}
-
-func (s *effState) clone() *effState {
-	c := &effState{bad: s.bad, net: make(map[string]int, len(s.net)),
-		defers: make(map[string]bool, len(s.defers)), refs: make(map[string]lockRef, len(s.refs))}
-	for k, v := range s.net {
-		c.net[k] = v
-	}
-	for k := range s.defers {
-		c.defers[k] = true
-	}
-	for k, v := range s.refs {
-		c.refs[k] = v
-	}
-	return c
-}
-
-func effSetsEqual(a, b *effState) bool {
-	if len(a.net) != len(b.net) || len(a.defers) != len(b.defers) {
-		return false
-	}
-	for k, v := range a.net {
-		if b.net[k] != v {
-			return false
-		}
-	}
-	for k := range a.defers {
-		if !b.defers[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// effectOf computes (and memoizes) f's net lock effect by running the
-// same walker over f's CFG with must-agreement joins: any path divergence
-// makes the effect unknown, so callers apply only unambiguous helpers.
-func (idx *unlockpathIndex) effectOf(f *Func) *lockEffect {
-	if e, ok := idx.effects[f]; ok {
-		return e
-	}
-	if idx.onEff[f] {
-		return unknownEffect // recursion: give up on the back edge
-	}
-	if !idx.touchesLocks(f) {
-		e := &lockEffect{known: true, net: map[string]int{}, refs: map[string]lockRef{}}
-		idx.effects[f] = e
-		return e
-	}
-	idx.onEff[f] = true
-	defer delete(idx.onEff, f)
-
-	cfg := idx.prog.CFGOf(f)
-	w := &lockWalk{idx: idx, f: f, info: f.Pkg.Info}
-	res := cfg.Forward(FlowSpec{
-		Init: func() any {
-			return &effState{net: map[string]int{}, defers: map[string]bool{}, refs: map[string]lockRef{}}
-		},
-		Transfer: func(b *Block, in any) any {
-			st := in.(*effState).clone()
-			w.acquire = func(id LockID, read bool, pos token.Pos) {
-				k := modeKey(id, read)
-				st.net[k]++
-				st.refs[k] = lockRef{id, read}
-			}
-			w.release = func(id LockID, read bool) {
-				k := modeKey(id, read)
-				st.net[k]--
-				st.refs[k] = lockRef{id, read}
-			}
-			w.deferRelease = func(id LockID, read bool) {
-				k := modeKey(id, read)
-				st.defers[k] = true
-				st.refs[k] = lockRef{id, read}
-			}
-			for _, n := range b.Nodes {
-				w.node(n, false)
-			}
-			return st
-		},
-		Join: func(a, b any) any {
-			x, y := a.(*effState), b.(*effState)
-			j := x.clone()
-			if y.bad || !effSetsEqual(x, y) {
-				j.bad = true
-			}
-			for k, v := range y.refs {
-				j.refs[k] = v
-			}
-			return j
-		},
-		Equal: func(a, b any) bool {
-			x, y := a.(*effState), b.(*effState)
-			return x.bad == y.bad && effSetsEqual(x, y)
-		},
-	})
-
-	eff := &lockEffect{net: map[string]int{}, refs: map[string]lockRef{}}
-	first := true
-	for _, b := range cfg.ExitPreds() {
-		if _, isPanic := b.Term.(*ast.CallExpr); isPanic {
-			continue // panic paths do not return to the caller
-		}
-		st, ok := res.Out[b].(*effState)
-		if !ok {
-			continue
-		}
-		if st.bad {
-			idx.effects[f] = unknownEffect
-			return unknownEffect
-		}
-		// The effect at this return: net counts after deferred releases.
-		ret := make(map[string]int, len(st.net))
-		for k, v := range st.net {
-			ret[k] = v
-		}
-		for k := range st.defers {
-			ret[k]--
-		}
-		for k, v := range ret {
-			if v == 0 {
-				delete(ret, k)
-			}
-		}
-		if first {
-			eff.net = ret
-			for k := range ret {
-				eff.refs[k] = st.refs[k]
-			}
-			first = false
-			continue
-		}
-		if len(ret) != len(eff.net) {
-			idx.effects[f] = unknownEffect
-			return unknownEffect
-		}
-		for k, v := range ret {
-			if eff.net[k] != v {
-				idx.effects[f] = unknownEffect
-				return unknownEffect
-			}
-		}
-	}
-	eff.known = true
-	idx.effects[f] = eff
-	return eff
 }

@@ -1,6 +1,7 @@
 package calculus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,36 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// Nesting is bounded: maxNesting levels parse, one more is a parse error
+// (not a stack overflow), for each construct that nests.
+func TestParseNestingBound(t *testing.T) {
+	const head = "{R: x} where (x in S) and "
+	forms := map[string]func(n int) string{
+		"parentheses": func(n int) string {
+			return head + "x!a = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n)
+		},
+		"minus": func(n int) string { return head + "x!a = " + strings.Repeat("- ", n) + "1" },
+		"not":   func(n int) string { return head + strings.Repeat("not ", n) + "x!a = 1" },
+		"dependent ranges": func(n int) string {
+			var b strings.Builder
+			b.WriteString("{R: x} where (x in S)")
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&b, " [ (v%d in x!a)", i)
+			}
+			return b.String() + strings.Repeat(" ]", n)
+		},
+	}
+	for name, form := range forms {
+		if _, err := Parse(form(maxNesting)); err != nil {
+			t.Errorf("%s at the bound: %v", name, err)
+		}
+		_, err := Parse(form(maxNesting + 1))
+		if err == nil || !strings.Contains(err.Error(), "nests deeper than 1000") {
+			t.Errorf("%s past the bound: %v, want a nesting error", name, err)
 		}
 	}
 }

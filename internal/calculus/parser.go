@@ -121,6 +121,20 @@ type parser struct {
 	bound       map[string]bool // variables bound by ranges so far
 	q           *Query
 	insideGroup bool // inside parentheses, where 'and' binds expressions
+	depth       int  // nesting levels open at the current token
+}
+
+// maxNesting bounds how deeply parentheses, unary minus, 'not' and
+// dependent range bodies nest: deeper input is a parse error, not a parser
+// stack overflow.
+const maxNesting = 1000
+
+// nest opens one nesting level; the caller closes it with p.depth--.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("expression nests deeper than %d", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -238,8 +252,12 @@ func (p *parser) item() (Expr, error) {
 			p.q.Ranges = append(p.q.Ranges, Range{Var: v, Source: src})
 			p.bound[v] = true
 			if p.isPunct("[") {
+				if err := p.nest(); err != nil {
+					return nil, err
+				}
 				p.i++
 				inner, err := p.body()
+				p.depth--
 				if err != nil {
 					return nil, err
 				}
@@ -291,8 +309,12 @@ func (p *parser) andExpr() (Expr, error) {
 
 func (p *parser) notExpr() (Expr, error) {
 	if p.isKeyword("not") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		p.i++
 		e, err := p.notExpr()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -404,11 +426,15 @@ func (p *parser) factor() (Expr, error) {
 	case t.kind == tIdent:
 		return p.path()
 	case p.isPunct("("):
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		p.i++
 		save := p.insideGroup
 		p.insideGroup = true
 		e, err := p.orExpr()
 		p.insideGroup = save
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -417,8 +443,12 @@ func (p *parser) factor() (Expr, error) {
 		}
 		return e, nil
 	case p.isPunct("-"):
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		p.i++
 		e, err := p.factor()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}

@@ -31,6 +31,34 @@ func sysSession(t testing.TB, db *DB) *Session {
 	return s
 }
 
+// members answers set's members through MembersFunc, failing t on any
+// error.
+func members(t testing.TB, s *Session, set oop.OOP) []oop.OOP {
+	t.Helper()
+	var out []oop.OOP
+	if err := s.MembersFunc(set, func(m oop.OOP) error {
+		out = append(out, m)
+		return nil
+	}); err != nil {
+		t.Fatalf("MembersFunc(%v): %v", set, err)
+	}
+	return out
+}
+
+// lookup answers the members bound under key through IndexLookupFunc,
+// failing t on any error.
+func lookup(t testing.TB, s *Session, set oop.OOP, path []string, key directory.Key) []oop.OOP {
+	t.Helper()
+	var out []oop.OOP
+	if err := s.IndexLookupFunc(set, path, key, func(m oop.OOP) error {
+		out = append(out, m)
+		return nil
+	}); err != nil {
+		t.Fatalf("IndexLookupFunc(%v, %v): %v", set, path, err)
+	}
+	return out
+}
+
 func TestBootstrapKernel(t *testing.T) {
 	db := openDB(t)
 	k := db.Kernel()
@@ -413,7 +441,16 @@ func TestAuthorizationEnforced(t *testing.T) {
 	if err := as.Store(world, as.Symbol("secret"), secret); err != nil {
 		t.Fatal(err)
 	}
+	// A set of alice's with a directory on it.
+	emps, _ := as.NewObject(db.Kernel().Set)
+	_, _ = as.AddToSet(emps, secret)
+	if err := as.Store(world, as.Symbol("emps"), emps); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := as.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.CreateIndex(emps, []string{"v"}); err != nil {
 		t.Fatal(err)
 	}
 	bs, err := db.NewSession("bob", "bpw")
@@ -422,6 +459,22 @@ func TestAuthorizationEnforced(t *testing.T) {
 	}
 	if _, _, err := bs.Fetch(secret, bs.Symbol("v")); !errors.Is(err, auth.ErrDenied) {
 		t.Errorf("bob read alice's object: %v", err)
+	}
+	// Streaming reads of her set, by scan or through the directory, fail
+	// with the denial; they do not answer no members.
+	keep := func(oop.OOP) error { return nil }
+	key := directory.NumberKey(42)
+	for name, err := range map[string]error{
+		"MembersFunc":     bs.MembersFunc(emps, keep),
+		"IndexLookupFunc": bs.IndexLookupFunc(emps, []string{"v"}, key, keep),
+		"IndexRangeFunc":  bs.IndexRangeFunc(emps, []string{"v"}, &key, nil, true, true, keep),
+	} {
+		if !errors.Is(err, auth.ErrDenied) {
+			t.Errorf("bob's %s on alice's set = %v, want %v", name, err, auth.ErrDenied)
+		}
+	}
+	if got := lookup(t, as, emps, []string{"v"}, key); len(got) != 1 {
+		t.Errorf("alice's lookup(42) = %v", got)
 	}
 	// Grant read: fetch works, store still denied.
 	home, _ := db.Auth().HomeSegment("alice")
@@ -516,9 +569,8 @@ func TestAddToSetAliases(t *testing.T) {
 		}
 		seen[a] = true
 	}
-	ms, err := s.Members(set)
-	if err != nil || len(ms) != 5 {
-		t.Fatalf("Members = %v (%v)", ms, err)
+	if ms := members(t, s, set); len(ms) != 5 {
+		t.Fatalf("members = %v", ms)
 	}
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
@@ -530,13 +582,11 @@ func TestAddToSetAliases(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	ms, _ = s.Members(set)
-	if len(ms) != 4 {
+	if ms := members(t, s, set); len(ms) != 4 {
 		t.Errorf("after removal: %d members", len(ms))
 	}
 	_ = s.SetTimeDial(1)
-	ms, _ = s.Members(set)
-	if len(ms) != 5 {
+	if ms := members(t, s, set); len(ms) != 5 {
 		t.Errorf("at t=1: %d members, want 5", len(ms))
 	}
 }
@@ -562,19 +612,18 @@ func TestIndexMaintainedAcrossCommits(t *testing.T) {
 	if err := s.CreateIndex(emps, []string{"salary"}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(200))
-	if !ok || len(got) != 2 {
-		t.Fatalf("lookup(200) = %v %v", got, ok)
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 2 {
+		t.Fatalf("lookup(200) = %v", got)
 	}
 	// Update a salary: directory must follow (dependency on member object).
 	_ = s.Store(e2, s.Symbol("salary"), oop.MustInt(300))
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 1 {
 		t.Errorf("lookup(200) after move = %v", got)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(300)); len(got) != 1 || got[0] != e2 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(300)); len(got) != 1 || got[0] != e2 {
 		t.Errorf("lookup(300) = %v", got)
 	}
 	// New member after index creation.
@@ -584,21 +633,24 @@ func TestIndexMaintainedAcrossCommits(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(100)); len(got) != 2 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(100)); len(got) != 2 {
 		t.Errorf("lookup(100) after add = %v", got)
 	}
 	// Historical lookup: at the first commit, e2 had salary 200.
 	_ = s.SetTimeDial(1)
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 2 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 2 {
 		t.Errorf("dialed lookup(200) = %v", got)
 	}
 	_ = s.SetTimeDial(oop.TimeNow)
 	// Range query.
 	// Salaries now: e1=100, e2=300, e3=200, e4=100.
 	lo := directory.NumberKey(150)
-	members, ok := s.IndexRange(emps, []string{"salary"}, &lo, nil, true, true)
-	if !ok || len(members) != 2 {
-		t.Errorf("range [150,inf) = %v", members)
+	var inRange []oop.OOP
+	if err := s.IndexRangeFunc(emps, []string{"salary"}, &lo, nil, true, true, func(m oop.OOP) error {
+		inRange = append(inRange, m)
+		return nil
+	}); err != nil || len(inRange) != 2 {
+		t.Errorf("range [150,inf) = %v (%v)", inRange, err)
 	}
 	_ = e1
 }
@@ -624,7 +676,7 @@ func TestIndexNestedPathDependency(t *testing.T) {
 	if err := s.CreateIndex(emps, []string{"dept", "name"}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"dept", "name"}, directory.StringKey("Sales")); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"dept", "name"}, directory.StringKey("Sales")); len(got) != 1 {
 		t.Fatal("initial nested lookup failed")
 	}
 	// Rename the department by mutating the shared String: the index key
@@ -635,10 +687,10 @@ func TestIndexNestedPathDependency(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"dept", "name"}, directory.StringKey("Sales")); len(got) != 0 {
+	if got := lookup(t, s, emps, []string{"dept", "name"}, directory.StringKey("Sales")); len(got) != 0 {
 		t.Error("stale key after nested byte change")
 	}
-	if got, _ := s.IndexLookup(emps, []string{"dept", "name"}, directory.StringKey("Marketing")); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"dept", "name"}, directory.StringKey("Marketing")); len(got) != 1 {
 		t.Error("new key missing after nested byte change")
 	}
 	// Swap the dept object itself.
@@ -649,12 +701,12 @@ func TestIndexNestedPathDependency(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"dept", "name"}, directory.StringKey("Research")); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"dept", "name"}, directory.StringKey("Research")); len(got) != 1 {
 		t.Error("re-keying after intermediate swap failed")
 	}
 	// And the old history is still queryable.
 	_ = s.SetTimeDial(1)
-	if got, _ := s.IndexLookup(emps, []string{"dept", "name"}, directory.StringKey("Sales")); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"dept", "name"}, directory.StringKey("Sales")); len(got) != 1 {
 		t.Error("historical nested lookup failed")
 	}
 }
@@ -694,14 +746,14 @@ func TestIndexRebuildOnReopen(t *testing.T) {
 	}
 	defer db2.Close()
 	s2, _ := db2.NewSession(auth.SystemUser, "swordfish")
-	if got, ok := s2.IndexLookup(emps, []string{"salary"}, directory.NumberKey(999)); !ok || len(got) != 1 {
-		t.Errorf("rebuilt index lookup(999) = %v %v", got, ok)
+	if got := lookup(t, s2, emps, []string{"salary"}, directory.NumberKey(999)); len(got) != 1 {
+		t.Errorf("rebuilt index lookup(999) = %v", got)
 	}
-	if got, _ := s2.IndexLookup(emps, []string{"salary"}, directory.NumberKey(300)); len(got) != 0 {
+	if got := lookup(t, s2, emps, []string{"salary"}, directory.NumberKey(300)); len(got) != 0 {
 		t.Errorf("rebuilt index lookup(300) = %v", got)
 	}
 	_ = s2.SetTimeDial(1)
-	if got, _ := s2.IndexLookup(emps, []string{"salary"}, directory.NumberKey(300)); len(got) != 1 {
+	if got := lookup(t, s2, emps, []string{"salary"}, directory.NumberKey(300)); len(got) != 1 {
 		t.Errorf("rebuilt historical lookup(300) = %v", got)
 	}
 	// Maintenance continues after reopen.
@@ -712,7 +764,7 @@ func TestIndexRebuildOnReopen(t *testing.T) {
 	if _, err := s2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := s2.IndexLookup(emps, []string{"salary"}, directory.NumberKey(500)); len(got) != 1 {
+	if got := lookup(t, s2, emps, []string{"salary"}, directory.NumberKey(500)); len(got) != 1 {
 		t.Error("index not maintained after reopen")
 	}
 }
@@ -991,10 +1043,10 @@ func TestCommitCrashRecoveryAtCoreLevel(t *testing.T) {
 		t.Errorf("failed commit consumed a transaction time: %v -> %v", before, got)
 	}
 	// The directory still reflects only the committed state.
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 0 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 0 {
 		t.Errorf("directory leaked uncommitted entry: %v", got)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(100)); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(100)); len(got) != 1 {
 		t.Errorf("directory lost committed entry: %v", got)
 	}
 	// The session retries successfully (e2 was demoted back to transient).
@@ -1002,7 +1054,7 @@ func TestCommitCrashRecoveryAtCoreLevel(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatalf("retry after crash: %v", err)
 	}
-	if got, _ := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 1 {
+	if got := lookup(t, s, emps, []string{"salary"}, directory.NumberKey(200)); len(got) != 1 {
 		t.Errorf("directory missing retried entry: %v", got)
 	}
 }
@@ -1076,14 +1128,21 @@ func TestConcurrentReadersOnReopenedDB(t *testing.T) {
 				return fmt.Errorf("empty%d!f%d = %v %v", i, i, ok, err)
 			}
 		}
+		var got []oop.OOP
+		keep := func(m oop.OOP) error {
+			got = append(got, m)
+			return nil
+		}
 		for i := 0; i < members; i++ {
-			if got, ok := s.IndexLookup(emps, []string{"salary"}, directory.NumberKey(float64(i))); !ok || len(got) != 1 {
-				return fmt.Errorf("lookup(%d) = %v %v", i, got, ok)
+			got = got[:0]
+			if err := s.IndexLookupFunc(emps, []string{"salary"}, directory.NumberKey(float64(i)), keep); err != nil || len(got) != 1 {
+				return fmt.Errorf("lookup(%d) = %v %v", i, got, err)
 			}
 		}
+		got = got[:0]
 		lo := directory.NumberKey(members / 2)
-		if got, ok := s.IndexRange(emps, []string{"salary"}, &lo, nil, true, true); !ok || len(got) != members/2 {
-			return fmt.Errorf("range(>= %d) = %d members %v", members/2, len(got), ok)
+		if err := s.IndexRangeFunc(emps, []string{"salary"}, &lo, nil, true, true, keep); err != nil || len(got) != members/2 {
+			return fmt.Errorf("range(>= %d) = %d members %v", members/2, len(got), err)
 		}
 		return nil
 	}

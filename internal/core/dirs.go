@@ -424,19 +424,6 @@ func (s *Session) FindIndex(set oop.OOP, path []string) (*directory.Directory, b
 // execution. Callers must surface it rather than treat it as zero rows.
 var ErrNoDirectory = errors.New("core: no maintained directory for set/path")
 
-// IndexLookup returns the members of set bound under the given key in the
-// session's current view, using a maintained directory.
-func (s *Session) IndexLookup(set oop.OOP, path []string, key directory.Key) ([]oop.OOP, bool) {
-	out := []oop.OOP{}
-	if err := s.IndexLookupFunc(set, path, key, func(m oop.OOP) error {
-		out = append(out, m)
-		return nil
-	}); err != nil {
-		return nil, false
-	}
-	return out, true
-}
-
 // IndexLookupFunc streams the members of set bound under key to fn through
 // a maintained directory, in directory entry order. It returns
 // ErrNoDirectory (wrapped) when no directory covers the set/path pair, the
@@ -457,18 +444,6 @@ func (s *Session) IndexLookupFunc(set oop.OOP, path []string, key directory.Key,
 		s.db.met.cursorMembers.Inc()
 		return fn(e.Member)
 	})
-}
-
-// IndexRange returns members with keys in [lo,hi] bounds (nil = unbounded).
-func (s *Session) IndexRange(set oop.OOP, path []string, lo, hi *directory.Key, loInc, hiInc bool) ([]oop.OOP, bool) {
-	out := []oop.OOP{}
-	if err := s.IndexRangeFunc(set, path, lo, hi, loInc, hiInc, func(m oop.OOP) error {
-		out = append(out, m)
-		return nil
-	}); err != nil {
-		return nil, false
-	}
-	return out, true
 }
 
 // IndexRangeFunc streams members with keys in [lo,hi] bounds (nil =

@@ -299,7 +299,9 @@ func (db *DB) reload() error {
 		if err != nil {
 			return fmt.Errorf("core: rebuild directory on %v: %w", oop.FromSerial(def.Set), err)
 		}
+		db.mu.Lock()
 		db.dirs = append(db.dirs, m)
+		db.mu.Unlock()
 	}
 	return nil
 }

@@ -758,23 +758,9 @@ func (s *Session) RemoveFromSet(set, name oop.OOP) error {
 	return s.Remove(set, name)
 }
 
-// Members returns the values of all elements of set in the current view,
-// excluding the hidden alias counter.
-func (s *Session) Members(set oop.OOP) ([]oop.OOP, error) {
-	var out []oop.OOP
-	if err := s.MembersFunc(set, func(m oop.OOP) error {
-		out = append(out, m)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MembersFunc streams the members of set in the current view to fn, in
-// element insertion order, excluding the hidden alias counter. It is the
-// cursor form of Members: one pass over the set object's own elements, no
-// member slice. Iteration stops at the first error from fn, which is
+// element insertion order, excluding the hidden alias counter: one pass
+// over the set object's own elements, no member slice. Iteration stops at the first error from fn, which is
 // returned. The callback must not write to the session.
 func (s *Session) MembersFunc(set oop.OOP, fn func(oop.OOP) error) error {
 	s.db.met.scans.Inc()

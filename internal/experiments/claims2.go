@@ -352,8 +352,11 @@ func C9(w io.Writer) error {
 			return err
 		}
 		// Every employee sees the rename through the shared object.
-		probe, err := core.Members(emps)
-		if err != nil {
+		var probe []oop.OOP
+		if err := core.MembersFunc(emps, func(m oop.OOP) error {
+			probe = append(probe, m)
+			return nil
+		}); err != nil {
 			done()
 			return err
 		}

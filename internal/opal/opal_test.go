@@ -701,10 +701,19 @@ func TestCopy(t *testing.T) {
 
 func TestDeepExpressionNesting(t *testing.T) {
 	in := newInterp(t)
+	// Nesting is bounded like calls: at maxNesting levels a doIt runs, one
+	// level more is a parse error, not a stack overflow. The statement is
+	// the first level; each parenthesis or literal-array level adds one.
+	parens := func(n int) string { return strings.Repeat("(", n) + "7" + strings.Repeat(")", n) }
+	array := func(n int) string { return "#" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + " size" }
 	evalCases(t, in, [][2]string{
 		{"((1 + 2) * (3 + 4)) - ((2 * 2) + 1)", "16"},
 		{"#(#(1 2) #(3 4))", "an Array( an Array( 1 2 ) an Array( 3 4 ) )"},
 		{"(#(1 2 3) collect: [:x | #(1 2 3) inject: x into: [:a :b | a + b]]) sum", "24"},
+		{parens(maxNesting - 1), "7"},
+		{parens(maxNesting), "error: expressions nest deeper than 1000"},
+		{array(maxNesting - 1), "1"},
+		{array(maxNesting), "error: expressions nest deeper than 1000"},
 	})
 }
 

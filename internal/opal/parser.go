@@ -13,8 +13,23 @@ type parseErr struct {
 func (e *parseErr) Error() string { return fmt.Sprintf("opal: %s at offset %d", e.msg, e.pos) }
 
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int // expressions and literal arrays open at the current token
+}
+
+// maxNesting bounds how deeply expressions (parentheses, blocks, chained
+// assignments, @(...) times) and literal arrays nest, as maxDepth bounds
+// calls: deeper source is a parse error, not a parser stack overflow. The
+// statement itself is the first level.
+const maxNesting = 1000
+
+// nest opens one nesting level; the caller closes it with p.depth--.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("expressions nest deeper than %d", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) cur() token          { return p.toks[p.i] }
@@ -161,6 +176,10 @@ func (p *parser) statements(closer tokenKind) ([]node, error) {
 
 // expression := assignment | cascade
 func (p *parser) expression() (node, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	// Assignment lookahead: primary path/ident followed by :=.
 	save := p.i
 	if p.at(tkIdent) {
@@ -477,6 +496,10 @@ func (p *parser) literalArray() (node, error) {
 }
 
 func (p *parser) literalArrayElement() (*literalNode, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	switch t := p.cur(); t.kind {
 	case tkInt:
 		p.i++

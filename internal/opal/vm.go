@@ -174,6 +174,16 @@ func compilePath(src string, names []string, store *oop.OOP) (*compiledMethod, e
 	if !p.at(tkEOF) {
 		return nil, p.errf("expected end of path, found %s", p.cur())
 	}
+	// A doIt's @(expr) runs any code; a path's time is data only.
+	if pn, ok := target.(*pathNode); ok {
+		for _, seg := range pn.segs {
+			lit, isLit := seg.timeExp.(*literalNode)
+			_, isVar := seg.timeExp.(*varNode)
+			if seg.timeExp != nil && !isVar && !(isLit && lit.kind == litInt) {
+				return nil, &parseErr{"path time must be an integer or a variable", seg.timeExp.pos()}
+			}
+		}
+	}
 	c := &compiler{sc: newScope(nil)}
 	for _, name := range names {
 		c.sc.bind(name)
