@@ -335,7 +335,9 @@ func (se *Session) Interp() *opal.Interp { return se.in }
 type HistoryEntry = core.HistoryEntry
 
 // History returns the committed (time, value) associations of an object's
-// element, oldest first — the paper's per-element history as data.
+// element, oldest first — the paper's per-element history as data. It
+// stops at the time the session reads: the transaction's snapshot, or the
+// dialed state. Pending writes and later commits are not in it.
 func (se *Session) History(obj Value, element string) ([]HistoryEntry, error) {
 	return se.s.History(obj, se.s.Symbol(element))
 }

@@ -315,3 +315,65 @@ func TestNoSessionLeaks(t *testing.T) {
 		t.Fatalf("Close left %d transaction(s) active", n)
 	}
 }
+
+// A time after the last commit does not exist yet, so reading it fails
+// instead of answering the live value unrecorded. S1's stale read of o!v
+// can then never reach a commit that S2's later write should have failed.
+func TestFutureReadCannotCommitStale(t *testing.T) {
+	db := openDB(t)
+	s1, s2 := login(t, db), login(t, db)
+	s1.MustRun("World at: #o put: (Object new at: #v put: 1; yourself). World at: #p put: Object new")
+	if _, err := s1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Abort()
+	if _, err := s1.Run("World!p at: #w put: World!o!v@1000000 + 1"); err == nil || !strings.Contains(err.Error(), "is in the future") {
+		t.Errorf("read @1000000: %v, want a future-time error", err)
+	}
+	s2.MustRun("World!o at: #v put: 5")
+	if _, err := s2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = s1.Commit()
+	if got := s1.MustRun("World!p!w"); got != "nil" {
+		t.Errorf("World!p!w = %s after S2 changed o!v: a stale read committed", got)
+	}
+}
+
+// History stops at the session's snapshot, as S1's other reads do, so S1
+// does not see S2's later commit; and a history read is validated like any
+// other live read.
+func TestHistoryStopsAtSnapshot(t *testing.T) {
+	db := openDB(t)
+	s1, s2 := login(t, db), login(t, db)
+	s1.MustRun("World at: #o put: (Object new at: #v put: 1; yourself)")
+	if _, err := s1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s1.MustRun("World!o at: #v put: 2")
+	if _, err := s1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Abort()
+	s2.MustRun("World!o at: #v put: 3")
+	if _, err := s2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s1.MustRun("(World!o historyOf: #v) size printString , '/' , (World!o historyOf: #v) last value printString"); got != "'2/2'" {
+		t.Errorf("S1 history size/last = %s, want '2/2'", got)
+	}
+	o, err := s1.Path("World!o", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist, err := s1.History(o, "v"); err != nil || len(hist) != 2 {
+		t.Errorf("S1 History = %+v (%v), want 2 entries", hist, err)
+	}
+	s1.MustRun("World at: #q put: 1")
+	if _, err := s1.Commit(); err == nil {
+		t.Error("S1 committed after reading o's history, which S2 changed since the snapshot")
+	}
+	if got := s1.MustRun("(World!o historyOf: #v) size printString , '/' , World!o!v printString"); got != "'3/3'" {
+		t.Errorf("history size/value after a fresh snapshot = %s, want '3/3'", got)
+	}
+}

@@ -178,7 +178,10 @@ func (g *guardCheck) check(f *Func, outer map[heldLock]bool) {
 			if !guarded {
 				return
 			}
-			write := g.writes[n]
+			write, marked := g.writes[n]
+			if marked && !write {
+				return // the append operand of a write reported at its target
+			}
 			licensed := func(held map[heldLock]bool) bool {
 				for t := range held {
 					if t.via == g.recv && t.id.Var.Name() == mu && (!write || !t.read) {
@@ -203,23 +206,34 @@ func (g *guardCheck) check(f *Func, outer map[heldLock]bool) {
 }
 
 // writeTargets marks selector expressions that are assigned to (or have
-// their address taken, conservatively a potential write).
+// their address taken, conservatively a potential write). In x.f =
+// append(x.f, v) the operand x.f maps to false: it is the same write as the
+// target, so the statement is reported once.
 func writeTargets(body ast.Node) map[*ast.SelectorExpr]bool {
 	out := make(map[*ast.SelectorExpr]bool)
 	mark := func(e ast.Expr) {
 		if sel, ok := e.(*ast.SelectorExpr); ok {
-			out[sel] = true
+			if _, done := out[sel]; !done {
+				out[sel] = true
+			}
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for i, lhs := range n.Lhs {
 				mark(lhs)
 				// Writing an element of a guarded map/slice field
 				// (s.cache[k] = v) mutates the field.
 				if ix, ok := lhs.(*ast.IndexExpr); ok {
 					mark(ix.X)
+				}
+				if len(n.Rhs) == len(n.Lhs) {
+					if call, ok := n.Rhs[i].(*ast.CallExpr); ok && isBuiltin(call, "append") {
+						if sel, ok := call.Args[0].(*ast.SelectorExpr); ok && types.ExprString(sel) == types.ExprString(lhs) {
+							out[sel] = false
+						}
+					}
 				}
 			}
 		case *ast.IncDecStmt:
@@ -235,11 +249,17 @@ func writeTargets(body ast.Node) map[*ast.SelectorExpr]bool {
 			// delete(s.cache, k) and append into a guarded slice both
 			// mutate; treat the first argument of delete and any guarded
 			// field passed to append as writes.
-			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "append") && len(n.Args) > 0 {
+			if isBuiltin(n, "delete") || isBuiltin(n, "append") {
 				mark(n.Args[0])
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// isBuiltin reports whether call calls the builtin name with an argument.
+func isBuiltin(call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == name && len(call.Args) > 0
 }

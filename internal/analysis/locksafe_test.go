@@ -83,9 +83,10 @@ const locksafeFlowFixture = `package fx
 import "sync"
 
 type Cache struct {
-	mu    sync.Mutex // guards items, hits
+	mu    sync.Mutex // guards items, hits, keys
 	items map[int]int
 	hits  int
+	keys  []int
 }
 
 func (c *Cache) AfterUnlock(k int) int {
@@ -122,6 +123,10 @@ func (c *Cache) BothBranches(fast bool) int {
 	return c.hits
 }
 
+func (c *Cache) Grow(k int) {
+	c.keys = append(c.keys, k)
+}
+
 func (c *Cache) Each(fn func(int)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,5 +144,6 @@ func TestLocksafeHeldOnEveryPath(t *testing.T) {
 		"read of c.items without c.mu.Lock or RLock", // AfterUnlock
 		"read of c.hits without c.mu.Lock or RLock",  // OneBranch
 		"write of c.hits without c.mu.Lock",          // MoveTo: o.mu is held
+		"write of c.keys without c.mu.Lock",          // Grow: one finding for target and operand
 	)
 }

@@ -434,13 +434,13 @@ func (s *Session) IndexLookupFunc(set oop.OOP, path []string, key directory.Key,
 	if !ok {
 		return fmt.Errorf("%w: %v by %v", ErrNoDirectory, set, path)
 	}
-	if _, _, err := s.lookup(set); err != nil {
+	r, err := s.see(set, oop.TimeNow, true)
+	if err != nil {
 		return err
 	}
 	s.db.met.indexLookups.Inc()
 	s.db.met.cursorOpens.Inc()
-	s.recordRead(set)
-	return d.LookupFunc(key, s.readTime(), func(e directory.Entry) error {
+	return d.LookupFunc(key, r.t, func(e directory.Entry) error {
 		s.db.met.cursorMembers.Inc()
 		return fn(e.Member)
 	})
@@ -456,13 +456,13 @@ func (s *Session) IndexRangeFunc(set oop.OOP, path []string, lo, hi *directory.K
 	if !ok {
 		return fmt.Errorf("%w: %v by %v", ErrNoDirectory, set, path)
 	}
-	if _, _, err := s.lookup(set); err != nil {
+	r, err := s.see(set, oop.TimeNow, true)
+	if err != nil {
 		return err
 	}
 	s.db.met.indexLookups.Inc()
 	s.db.met.cursorOpens.Inc()
-	s.recordRead(set)
-	return d.RangeFunc(lo, hi, loInc, hiInc, s.readTime(), func(e directory.Entry) error {
+	return d.RangeFunc(lo, hi, loInc, hiInc, r.t, func(e directory.Entry) error {
 		s.db.met.cursorMembers.Inc()
 		return fn(e.Member)
 	})

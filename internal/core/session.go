@@ -141,8 +141,10 @@ func (s *Session) Snapshot() oop.Time { return s.tx.Snapshot }
 // @T to each component in a path expression"). Pass oop.TimeNow to return
 // to the current state. Dialing past the last committed time is an error.
 func (s *Session) SetTimeDial(t oop.Time) error {
-	if !t.IsNow() && t > s.db.txm.LastCommitted() {
-		return fmt.Errorf("core: time %v is in the future (last committed %v)", t, s.db.txm.LastCommitted())
+	if !t.IsNow() {
+		if err := s.checkTime(t); err != nil {
+			return err
+		}
 	}
 	s.dial = t
 	return nil
@@ -154,91 +156,128 @@ func (s *Session) TimeDial() oop.Time { return s.dial }
 // SafeTime returns the most recent state no running transaction can change.
 func (s *Session) SafeTime() oop.Time { return s.db.txm.SafeTime() }
 
-// readTime is the effective time for "current" reads.
-func (s *Session) readTime() oop.Time {
-	if s.dial.IsNow() {
-		return s.tx.Snapshot
+// checkTime reports an error for a time after the last commit: that state
+// does not exist yet. A time up to the snapshot needs no lock to check.
+func (s *Session) checkTime(t oop.Time) error {
+	if t <= s.tx.Snapshot {
+		return nil
 	}
-	return s.dial
+	if last := s.db.txm.LastCommitted(); t > last {
+		return fmt.Errorf("core: time %v is in the future (last committed %v)", t, last)
+	}
+	return nil
 }
 
 // --- Object access ---
 
-// lookup returns the session's view of an object: its workspace copy if it
-// has one, else the shared committed version (not to be mutated).
-func (s *Session) lookup(o oop.OOP) (ob *object.Object, own bool, err error) {
-	if !o.IsHeap() {
-		return nil, false, fmt.Errorf("%w: %v", ErrNotAnObject, o)
+// seen is what one read of an object sees: the version to read, the state
+// to read it in, and whether the session's own pending writes show.
+type seen struct {
+	ob  *object.Object
+	t   oop.Time
+	own bool
+}
+
+// see is the one read rule. Every read of an object asks it which version
+// it may read, in which state, and whether validation must know of it:
+//   - A transient has no committed past: every read sees its current value.
+//   - A live read (at and the dial both now) sees the snapshot with the
+//     session's own pending writes on top. A read at T, from at or the
+//     dial, sees committed state at T only; a T after the last commit is
+//     an error.
+//   - A committed object is read only with its segment's read privilege.
+//   - A live read of a committed object enters the read set when record is
+//     set. The state at T is immutable and needs no validation.
+func (s *Session) see(obj oop.OOP, at oop.Time, record bool) (seen, error) {
+	if !obj.IsHeap() {
+		return seen{}, fmt.Errorf("%w: %v", ErrNotAnObject, obj)
 	}
-	if ob, ok := s.ws[o.Serial()]; ok {
-		return ob, true, nil
+	if ob, ok := s.transients[obj.Serial()]; ok {
+		return seen{ob: ob, t: object.PendingTime}, nil // its newest values
 	}
-	if ob, ok := s.transients[o.Serial()]; ok {
-		return ob, true, nil
+	if at.IsNow() {
+		at = s.dial
 	}
-	ob, err = s.db.loadCommitted(o)
+	live := at.IsNow()
+	if live {
+		at = s.tx.Snapshot
+		if ob, ok := s.ws[obj.Serial()]; ok {
+			return seen{ob: ob, t: at, own: true}, nil
+		}
+	} else if err := s.checkTime(at); err != nil {
+		return seen{}, err
+	}
+	ob, err := s.db.loadCommitted(obj)
 	if err != nil {
-		return nil, false, err
+		// Created by this transaction: no committed state at any T.
+		if ob, ok := s.ws[obj.Serial()]; ok {
+			return seen{ob: ob, t: at}, nil
+		}
+		return seen{}, err
 	}
 	if err := s.db.auth.CheckRead(s.user, ob.Seg); err != nil {
-		return nil, false, err
+		return seen{}, err
 	}
-	return ob, false, nil
-}
-
-// Object returns the session's view of o for read-only inspection.
-func (s *Session) Object(o oop.OOP) (*object.Object, error) {
-	ob, _, err := s.lookup(o)
-	return ob, err
-}
-
-// recordRead notes a current-state read for optimistic validation. Reads of
-// explicitly dialed past states are immutable and need no validation.
-func (s *Session) recordRead(o oop.OOP) {
-	if s.dial.IsNow() {
-		s.reads[o] = struct{}{}
+	if live && record {
+		s.reads[obj] = struct{}{}
 	}
+	return seen{ob: ob, t: at}, nil
 }
 
-// fetchFrom reads the named element from a session view at time t,
-// honouring pending (uncommitted) writes in workspace copies.
-func fetchFrom(ob *object.Object, own bool, name oop.OOP, t oop.Time) (oop.OOP, bool) {
-	if own {
-		if e := ob.Element(name); e != nil {
-			if n := len(e.Hist); n > 0 && e.Hist[n-1].T == object.PendingTime {
-				return e.Hist[n-1].Value, true
+// value is el's value in r: the session's own pending write, if r shows
+// one, else the value in force at r.t.
+func (r seen) value(el *object.Element) (oop.OOP, bool) {
+	if n := len(el.Hist); r.own && n > 0 && el.Hist[n-1].T == object.PendingTime {
+		return el.Hist[n-1].Value, true
+	}
+	return el.At(r.t)
+}
+
+// each calls fn with the name and value of every element of r bound to a
+// non-nil value, in insertion order, polling the request context.
+func (s *Session) each(r seen, fn func(name, v oop.OOP) error) error {
+	elems := r.ob.Elements()
+	for i := range elems {
+		if err := s.pollCancel(); err != nil {
+			return err
+		}
+		if v, ok := r.value(&elems[i]); ok && v != oop.Nil {
+			if err := fn(elems[i].Name, v); err != nil {
+				return err
 			}
 		}
 	}
-	return ob.FetchAt(name, t)
+	return nil
+}
+
+// Object returns the session's view of o for read-only inspection of its
+// header (class, segment, format). It records no read.
+func (s *Session) Object(o oop.OOP) (*object.Object, error) {
+	r, err := s.see(o, oop.TimeNow, false)
+	return r.ob, err
 }
 
 // Fetch reads the value of obj's element name in the session's current
 // view (snapshot plus the session's own pending writes, or the dialed past
 // state). A missing element reads as (nil, false, nil).
 func (s *Session) Fetch(obj, name oop.OOP) (oop.OOP, bool, error) {
-	ob, own, err := s.lookup(obj)
-	if err != nil {
-		return oop.Invalid, false, err
-	}
-	s.recordRead(obj)
-	v, ok := fetchFrom(ob, own, name, s.readTime())
-	return v, ok, nil
+	return s.FetchAt(obj, name, oop.TimeNow)
 }
 
-// FetchAt reads the element in the state at an explicit time t, ignoring
-// the dial (the @T path operator).
+// FetchAt reads the element in the committed state at an explicit time t,
+// ignoring the dial (the @T path operator); t = oop.TimeNow is Fetch. A t
+// after the last commit is an error.
 func (s *Session) FetchAt(obj, name oop.OOP, t oop.Time) (oop.OOP, bool, error) {
-	ob, own, err := s.lookup(obj)
+	r, err := s.see(obj, t, true)
 	if err != nil {
 		return oop.Invalid, false, err
 	}
-	if t.IsNow() {
-		s.recordRead(obj)
-		t = s.readTime()
+	if el := r.ob.Element(name); el != nil {
+		if v, ok := r.value(el); ok {
+			return v, true, nil
+		}
 	}
-	v, ok := fetchFrom(ob, own, name, t)
-	return v, ok, nil
+	return oop.Nil, false, nil
 }
 
 // modifiable returns a workspace copy of obj, cloning the committed version
@@ -329,22 +368,23 @@ type HistoryEntry struct {
 }
 
 // History returns the committed history of obj's element name, oldest
-// first: the paper's association table (§6) as data. Pending (uncommitted)
-// writes are excluded; times above the session's dial are included (history
-// inspection is explicitly temporal).
+// first: the paper's association table (§6) as data. It stops at the time
+// the session reads: the snapshot, or the dialed state. So it never shows
+// pending writes or a commit made after the snapshot, and a live call is
+// recorded for validation like any other read.
 func (s *Session) History(obj, name oop.OOP) ([]HistoryEntry, error) {
-	ob, _, err := s.lookup(obj)
+	r, err := s.see(obj, oop.TimeNow, true)
 	if err != nil {
 		return nil, err
 	}
-	e := ob.Element(name)
+	e := r.ob.Element(name)
 	if e == nil {
 		return nil, nil
 	}
 	out := make([]HistoryEntry, 0, len(e.Hist))
 	for _, a := range e.Hist {
-		if a.T >= object.PendingTime {
-			continue
+		if a.T > r.t || a.T == object.PendingTime {
+			break
 		}
 		out = append(out, HistoryEntry{T: a.T, Value: a.Value})
 	}
@@ -354,19 +394,16 @@ func (s *Session) History(obj, name oop.OOP) ([]HistoryEntry, error) {
 // ElementNames lists the names bound to non-nil values in the session's
 // current view of obj, in insertion order.
 func (s *Session) ElementNames(obj oop.OOP) ([]oop.OOP, error) {
-	ob, own, err := s.lookup(obj)
+	r, err := s.see(obj, oop.TimeNow, true)
 	if err != nil {
 		return nil, err
 	}
-	s.recordRead(obj)
-	t := s.readTime()
 	var names []oop.OOP
-	for _, el := range ob.Elements() {
-		if v, ok := fetchFrom(ob, own, el.Name, t); ok && v != oop.Nil {
-			names = append(names, el.Name)
-		}
-	}
-	return names, nil
+	err = s.each(r, func(name, _ oop.OOP) error {
+		names = append(names, name)
+		return nil
+	})
+	return names, err
 }
 
 // ClassOf returns the class of any value, immediates included.
@@ -384,11 +421,11 @@ func (s *Session) ClassOf(o oop.OOP) oop.OOP {
 	case o.IsCharacter():
 		return k.Character
 	}
-	ob, _, err := s.lookup(o)
+	r, err := s.see(o, oop.TimeNow, false)
 	if err != nil {
 		return k.Object
 	}
-	return ob.Class
+	return r.ob.Class
 }
 
 // --- Creation ---
@@ -446,42 +483,15 @@ func (s *Session) SetBytes(obj oop.OOP, b []byte) error {
 
 // BytesOf returns the byte payload in the session's current view.
 func (s *Session) BytesOf(obj oop.OOP) ([]byte, error) {
-	ob, own, err := s.lookup(obj)
+	r, err := s.see(obj, oop.TimeNow, true)
 	if err != nil {
 		return nil, err
 	}
-	s.recordRead(obj)
-	if own {
-		if vs := ob.ByteVersions(); len(vs) > 0 && vs[len(vs)-1].T == object.PendingTime {
-			return vs[len(vs)-1].Bytes, nil
-		}
+	if vs := r.ob.ByteVersions(); r.own && len(vs) > 0 && vs[len(vs)-1].T == object.PendingTime {
+		return vs[len(vs)-1].Bytes, nil
 	}
-	b, _ := ob.BytesAt(s.readTime())
+	b, _ := r.ob.BytesAt(r.t)
 	return b, nil
-}
-
-// BytesAt returns the payload in the state at an explicit time.
-func (s *Session) BytesAt(obj oop.OOP, t oop.Time) ([]byte, bool, error) {
-	ob, own, err := s.lookup(obj)
-	if err != nil {
-		return nil, false, err
-	}
-	if t.IsNow() {
-		s.recordRead(obj)
-		return mustBytes(ob, own, s.readTime())
-	}
-	b, ok := ob.BytesAt(t)
-	return b, ok, nil
-}
-
-func mustBytes(ob *object.Object, own bool, t oop.Time) ([]byte, bool, error) {
-	if own {
-		if vs := ob.ByteVersions(); len(vs) > 0 && vs[len(vs)-1].T == object.PendingTime {
-			return vs[len(vs)-1].Bytes, true, nil
-		}
-	}
-	b, ok := ob.BytesAt(t)
-	return b, ok, nil
 }
 
 // NewFloat creates a boxed Float.
@@ -713,7 +723,7 @@ func (s *Session) AddToSet(set, member oop.OOP) (oop.OOP, error) {
 	}
 	// Per-set alias counter kept in a hidden element.
 	n := int64(0)
-	if v, ok := fetchFrom(ob, true, s.db.wk.aliasCounter, s.readTime()); ok && v.IsSmallInt() {
+	if v, ok := ob.Fetch(s.db.wk.aliasCounter); ok && v.IsSmallInt() {
 		n = v.Int()
 	}
 	n++
@@ -760,34 +770,23 @@ func (s *Session) RemoveFromSet(set, name oop.OOP) error {
 
 // MembersFunc streams the members of set in the current view to fn, in
 // element insertion order, excluding the hidden alias counter: one pass
-// over the set object's own elements, no member slice. Iteration stops at the first error from fn, which is
-// returned. The callback must not write to the session.
+// over the set object's own elements, no member slice. Iteration stops at
+// the first error from fn, which is returned. The callback must not write
+// to the session.
 func (s *Session) MembersFunc(set oop.OOP, fn func(oop.OOP) error) error {
 	s.db.met.scans.Inc()
 	s.db.met.cursorOpens.Inc()
-	ob, own, err := s.lookup(set)
+	r, err := s.see(set, oop.TimeNow, true)
 	if err != nil {
 		return err
 	}
-	s.recordRead(set)
-	t := s.readTime()
-	for _, el := range ob.Elements() {
-		if err := s.pollCancel(); err != nil {
-			return err
-		}
-		if el.Name == s.db.wk.aliasCounter {
-			continue
-		}
-		v, ok := fetchFrom(ob, own, el.Name, t)
-		if !ok || v == oop.Nil {
-			continue
+	return s.each(r, func(name, v oop.OOP) error {
+		if name == s.db.wk.aliasCounter {
+			return nil
 		}
 		s.db.met.cursorMembers.Inc()
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(v)
+	})
 }
 
 // MemberCount returns the number of members of set in the current view
@@ -796,25 +795,18 @@ func (s *Session) MembersFunc(set oop.OOP, fn func(oop.OOP) error) error {
 // body. The planner uses it so that cost estimation touches no data pages.
 func (s *Session) MemberCount(set oop.OOP) (int, error) {
 	s.db.met.memberCounts.Inc()
-	ob, own, err := s.lookup(set)
+	r, err := s.see(set, oop.TimeNow, true)
 	if err != nil {
 		return 0, err
 	}
-	s.recordRead(set)
-	t := s.readTime()
 	n := 0
-	for _, el := range ob.Elements() {
-		if err := s.pollCancel(); err != nil {
-			return 0, err
-		}
-		if el.Name == s.db.wk.aliasCounter {
-			continue
-		}
-		if v, ok := fetchFrom(ob, own, el.Name, t); ok && v != oop.Nil {
+	err = s.each(r, func(name, _ oop.OOP) error {
+		if name != s.db.wk.aliasCounter {
 			n++
 		}
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // Archive moves committed objects to the simulated offline medium

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/core"
+	"repro/internal/oop"
 )
 
 func newInterp(t testing.TB) *Interp {
@@ -412,6 +413,59 @@ func TestTemporalOPAL(t *testing.T) {
 		{"System timeDial: " + itoa(int64(t1)) + ". World!Acme!president", "'Ayn'"},
 		{"System timeDialNow. World!Acme!president", "'Milton'"},
 		{"System timeDial", "nil"},
+	})
+}
+
+// A read at T sees committed state at T only: the session's pending writes
+// are invisible through @T, at:atTime:, the dial and a dialled scan, a time
+// after the last commit fails, and history stops at the snapshot. A
+// transient, which has no committed past, reads its own values under a dial.
+func TestReadAtTimeSeesCommittedState(t *testing.T) {
+	in := newInterp(t)
+	if _, err := in.Execute("World at: #o put: (Object new at: #v put: 1; yourself). World at: #s put: (Set new add: 1; yourself). System commitTransaction"); err != nil {
+		t.Fatal(err)
+	}
+	t1 := itoa(int64(in.s.DB().TxnManager().LastCommitted()))
+	if _, err := in.Execute("World!o at: #v put: 2. System commitTransaction"); err != nil {
+		t.Fatal(err)
+	}
+	// Another session commits after this transaction's snapshot.
+	other, err := in.s.DB().NewSession(auth.SystemUser, "swordfish")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	o, ok := other.Global("o")
+	if !ok {
+		t.Fatal("World!o missing")
+	}
+	if err := other.Store(o, other.Symbol("v"), oop.MustInt(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	evalCases(t, in, [][2]string{
+		{"World!o!v", "2"},
+		{"(World!o historyOf: #v) size", "2"},
+		{"(World!o historyOf: #v) last value", "2"},
+	})
+	if _, err := in.Execute("World!o at: #v put: 3. World!s add: 2"); err != nil {
+		t.Fatal(err)
+	}
+	evalCases(t, in, [][2]string{
+		{"World!o!v", "3"},
+		{"World!s size", "2"},
+		{"World!o!v@" + t1, "1"},
+		{"World!o at: #v atTime: " + t1, "1"},
+		{"| r | System timeDial: " + t1 + ". r := World!o!v. System timeDialNow. r", "1"},
+		{"| r | System timeDial: " + t1 + ". r := World!s size. System timeDialNow. r", "1"},
+		{"World!o!v@(0 - 1)", "error: non-negative"},
+		{"World!o at: #v atTime: -1", "error: non-negative"},
+		{"World!o!v@1000000", "error: is in the future"},
+		// An object first stored by this transaction has no committed past.
+		{"| n | n := Object new. World at: #n put: n. n at: #v put: 1. (n at: #v atTime: " + t1 + ") printString , '/' , (n!v) printString", "'nil/1'"},
+		{"| r o s | System timeDial: " + t1 + ". o := Object new. o at: #v put: 6. s := Set new. s add: 4; add: 5. r := (s size) printString , '/' , (o!v) printString , '/' , (o at: #v) printString. System timeDialNow. r", "'2/6/6'"},
 	})
 }
 

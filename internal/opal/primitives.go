@@ -382,8 +382,8 @@ func (in *Interp) installPrimitives() {
 		return a[1], nil
 	})
 	in.reg("Object", "at:atTime:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		if !a[1].IsSmallInt() {
-			return oop.Invalid, fmt.Errorf("opal: time must be an integer")
+		if !a[1].IsSmallInt() || a[1].Int() < 0 {
+			return oop.Invalid, fmt.Errorf("opal: at:atTime: needs a non-negative integer")
 		}
 		v, _, err := in.s.FetchAt(r, a[0], oop.Time(a[1].Int()))
 		return v, err

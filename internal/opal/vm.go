@@ -270,8 +270,8 @@ func (in *Interp) fetchElem(obj oop.OOP, key *symCell, at *oop.OOP) (oop.OOP, er
 		v, _, err := in.s.Fetch(obj, name)
 		return v, err
 	}
-	if !at.IsSmallInt() {
-		return oop.Invalid, fmt.Errorf("opal: '@' time must be an integer")
+	if !at.IsSmallInt() || at.Int() < 0 {
+		return oop.Invalid, fmt.Errorf("opal: '@' time must be a non-negative integer")
 	}
 	v, _, err := in.s.FetchAt(obj, name, oop.Time(at.Int()))
 	return v, err

@@ -51,15 +51,6 @@ type commitRecord struct {
 	writes []oop.OOP // ascending; deterministic validation order
 }
 
-// Stats counts transaction outcomes.
-type Stats struct {
-	Begun     uint64
-	Committed uint64
-	Conflicts uint64
-	Groups    uint64 // durability groups flushed by the committer
-	Batched   uint64 // write commits that shared their group with others
-}
-
 // Pending is one validated write transaction awaiting durability as a
 // member of a commit group. The manager owns the synchronization; the
 // applier reads Time and Payload and may record a per-member error.
@@ -86,7 +77,7 @@ type Applier func(group []*Pending) error
 
 // Manager coordinates transactions across sessions.
 type Manager struct {
-	mu            sync.Mutex // guards lastAssigned, lastPublished, nextID, active, log, recent, pending, lastGroup, stats
+	mu            sync.Mutex // guards lastAssigned, lastPublished, nextID, active, log, recent, pending, lastGroup
 	lastAssigned  oop.Time   // validation / time-assignment high water (includes unpublished)
 	lastPublished oop.Time   // durable, cache-visible high water
 	nextID        ID
@@ -95,7 +86,6 @@ type Manager struct {
 	recent        map[oop.OOP]oop.Time // newest logged write per OOP (mirrors log)
 	pending       []*Pending           // validated, awaiting the next group flush
 	lastGroup     int                  // size of the last flushed group (gathering heuristic)
-	stats         Stats
 
 	applier  Applier
 	flushTok chan struct{} // capacity 1: holding the token = leading a flush
@@ -163,7 +153,6 @@ func (m *Manager) Begin() Txn {
 	t := Txn{ID: m.nextID, Snapshot: m.lastPublished}
 	m.nextID++
 	m.active[t.ID] = t.Snapshot
-	m.stats.Begun++
 	m.met.begun.Inc()
 	return t
 }
@@ -236,7 +225,6 @@ func (m *Manager) admitLocked(t Txn, reads, writes map[oop.OOP]struct{}, payload
 	})
 	if len(clashes) > 0 {
 		clash, when := clashes[0], m.recent[clashes[0]]
-		m.stats.Conflicts++
 		m.finishLocked(t.ID)
 		if _, isRead := reads[clash]; isRead {
 			m.met.conflictsRead.Inc()
@@ -246,7 +234,6 @@ func (m *Manager) admitLocked(t Txn, reads, writes map[oop.OOP]struct{}, payload
 		return 0, nil, fmt.Errorf("%w: write-write on %v at %v after snapshot %v", ErrConflict, clash, when, snap)
 	}
 	if len(writes) == 0 {
-		m.stats.Committed++
 		m.met.commits.Inc()
 		m.finishLocked(t.ID)
 		return snap, nil, nil
@@ -265,7 +252,6 @@ func (m *Manager) admitLocked(t Txn, reads, writes map[oop.OOP]struct{}, payload
 	m.finishLocked(t.ID)
 	if m.applier == nil {
 		m.lastPublished = commit
-		m.stats.Committed++
 		m.met.commits.Inc()
 		m.trimLocked()
 		return commit, nil, nil
@@ -340,11 +326,6 @@ func (m *Manager) flushGroup() {
 	m.mu.Lock()
 	if err == nil {
 		m.lastPublished = group[len(group)-1].Time
-		m.stats.Groups++
-		m.stats.Committed += uint64(len(group))
-		if len(group) > 1 {
-			m.stats.Batched += uint64(len(group))
-		}
 		m.met.groups.Inc()
 		m.met.commits.Add(uint64(len(group)))
 		m.trimLocked()
@@ -450,13 +431,6 @@ func (m *Manager) LastCommitted() oop.Time {
 // dialed to SafeTime sees a stable, fully committed state.
 func (m *Manager) SafeTime() oop.Time {
 	return m.LastCommitted()
-}
-
-// Stats returns a snapshot of the outcome counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // ActiveCount returns the number of in-flight transactions.

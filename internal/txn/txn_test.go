@@ -6,8 +6,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/oop"
 )
+
+// counters attaches an obs registry to m, the one place its outcome
+// counts are kept.
+func counters(m *Manager) *obs.Registry {
+	reg := obs.NewRegistry()
+	m.Instrument(reg)
+	return reg
+}
 
 func set(oops ...uint64) map[oop.OOP]struct{} {
 	m := make(map[oop.OOP]struct{}, len(oops))
@@ -36,6 +45,7 @@ func TestCommitAssignsIncreasingTimes(t *testing.T) {
 
 func TestReadWriteConflict(t *testing.T) {
 	m := NewManager(0, nil)
+	reg := counters(m)
 	t1 := m.Begin()
 	t2 := m.Begin()
 	if _, err := m.Commit(t1, set(1), set(1), nil); err != nil {
@@ -45,9 +55,9 @@ func TestReadWriteConflict(t *testing.T) {
 	if _, err := m.Commit(t2, set(1), set(2), nil); !errors.Is(err, ErrConflict) {
 		t.Errorf("expected conflict, got %v", err)
 	}
-	st := m.Stats()
-	if st.Conflicts != 1 || st.Committed != 1 || st.Begun != 2 {
-		t.Errorf("stats = %+v", st)
+	st := reg.Snapshot()
+	if st.Counter("txn.conflicts.read") != 1 || st.Counter("txn.commits") != 1 || st.Counter("txn.begun") != 2 {
+		t.Errorf("counters:\n%s", st)
 	}
 }
 
@@ -198,6 +208,7 @@ func TestGroupCommitBatches(t *testing.T) {
 	var groups [][]oop.Time
 	first := true
 	m := NewManager(0, nil)
+	reg := counters(m)
 	m.applier = func(group []*Pending) error {
 		if first {
 			first = false
@@ -253,9 +264,8 @@ func TestGroupCommitBatches(t *testing.T) {
 			break
 		}
 	}
-	st := m.Stats()
-	if st.Groups != 2 || st.Batched != 3 || st.Committed != 4 {
-		t.Errorf("stats = %+v", st)
+	if st := reg.Snapshot(); st.Counter("txn.groups") != 2 || st.Counter("txn.commits") != 4 {
+		t.Errorf("counters:\n%s", st)
 	}
 	if m.LastCommitted() != 4 {
 		t.Errorf("LastCommitted = %v", m.LastCommitted())
@@ -399,6 +409,7 @@ func TestConcurrentCommitsSerializable(t *testing.T) {
 		}
 		return nil
 	})
+	reg := counters(m)
 	const workers, attempts = 8, 50
 	var wg sync.WaitGroup
 	var committed int64
@@ -431,9 +442,9 @@ func TestConcurrentCommitsSerializable(t *testing.T) {
 	if int64(final) != committed {
 		t.Errorf("lost updates: counter=%d committed=%d", final, committed)
 	}
-	st := m.Stats()
-	if st.Committed+st.Conflicts != workers*attempts {
-		t.Errorf("outcomes don't sum: %+v", st)
+	st := reg.Snapshot()
+	if st.Counter("txn.commits")+st.Counter("txn.conflicts.read")+st.Counter("txn.conflicts.write") != workers*attempts {
+		t.Errorf("outcomes don't sum:\n%s", st)
 	}
 }
 
