@@ -20,7 +20,7 @@
 //     instrument unconditionally; standalone uses (unit tests, tools) that
 //     never attach a registry pay nothing.
 //   - Deterministic snapshots: Snapshot returns name-sorted slices, never
-//     maps, so rendering, gob encoding over the wire, and ledger output
+//     maps, so rendering, JSON encoding over the wire, and ledger output
 //     are byte-stable for the same counter state (the detmap invariant
 //     gslint enforces over this package).
 //   - Untorn histograms: a histogram's total count is derived from its
@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Counter is a monotonically increasing event count.
@@ -176,7 +177,11 @@ func (l *SlowLog) Record(durNS uint64, source string) {
 		return
 	}
 	if len(source) > slowSourceLimit {
-		source = source[:slowSourceLimit] + "…"
+		cut := slowSourceLimit // back off to a rune start, so no character is split
+		for cut > slowSourceLimit-utf8.UTFMax && !utf8.RuneStart(source[cut]) {
+			cut--
+		}
+		source = source[:cut] + "…"
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -309,7 +314,7 @@ func (h HistogramValue) Mean() float64 {
 }
 
 // Snapshot is a point-in-time, name-sorted copy of every instrument.
-// Slices, not maps, so gob encoding and rendering are deterministic.
+// Slices, not maps, so encoding and rendering are deterministic.
 type Snapshot struct {
 	Counters   []CounterValue
 	Gauges     []GaugeValue

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -88,6 +90,25 @@ func TestSlowLogBoundedRing(t *testing.T) {
 	}
 	if es[0].Seq != 8 || es[2].Seq != 10 {
 		t.Errorf("ring = %+v", es)
+	}
+}
+
+// TestSlowLogCutsAtRuneStart: a long source is cut before the character
+// that straddles the limit, not through it.
+func TestSlowLogCutsAtRuneStart(t *testing.T) {
+	l := &SlowLog{cap: 2}
+	fits := strings.Repeat("x", slowSourceLimit)
+	straddles := strings.Repeat("x", slowSourceLimit-1) + "é!"
+	l.Record(1, fits+"é")
+	l.Record(2, straddles)
+	es := l.entries()
+	if es[0].Source != fits+"…" || es[1].Source != straddles[:slowSourceLimit-1]+"…" {
+		t.Errorf("entries = %q, %q", es[0].Source, es[1].Source)
+	}
+	for _, e := range es {
+		if !utf8.ValidString(e.Source) {
+			t.Errorf("entry %d is not valid UTF-8: %q", e.Seq, e.Source)
+		}
 	}
 }
 

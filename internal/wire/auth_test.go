@@ -86,7 +86,8 @@ func TestSessionHijackRejected(t *testing.T) {
 // TestStatsRoundTrip drives a scripted login/execute/commit sequence over
 // TCP and checks OpStats returns nonzero engine counters.
 func TestStatsRoundTrip(t *testing.T) {
-	_, _, addr := startServerConfig(t, Config{})
+	_, exec, addr := startServerConfig(t, Config{})
+	exec.SetSlowQueryThreshold(0) // every execute enters the slow log
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +156,29 @@ func TestStatsRoundTrip(t *testing.T) {
 	// both registered and populated after the sequence above.
 	if hv, ok := snap.Histogram("wire.queue.wait"); !ok || hv.Count == 0 {
 		t.Errorf("wire.queue.wait histogram missing or empty (ok=%v)", ok)
+	}
+	// Histograms keep their buckets and the slow log its entries.
+	if hv, _ := snap.Histogram("executor.execute.ns"); len(hv.Bounds) == 0 || len(hv.Buckets) != len(hv.Bounds)+1 || hv.Count == 0 {
+		t.Errorf("executor.execute.ns = %+v, want bounds and len(bounds)+1 populated buckets", hv)
+	}
+	if len(snap.Slow) == 0 || snap.Slow[len(snap.Slow)-1].Source != "World at: #observed put: 7" || snap.Slow[0].DurNS == 0 {
+		t.Errorf("slow log = %+v, want the executed source last", snap.Slow)
+	}
+	// Slow sources that are not valid UTF-8 as kept: a two-byte character
+	// across the slow log's 512-byte cut, and a raw 0xff byte. Stats still
+	// decodes, and the connection goes on.
+	straddle := "'" + strings.Repeat("x", 510) + "é'"
+	for _, src := range []string{straddle, "'\xff'"} {
+		rs.Execute(src) // the slow log records it whatever the answer
+	}
+	if snap, err = rs.Stats(); err != nil {
+		t.Fatalf("stats after non-UTF-8 slow sources: %v", err)
+	}
+	if n := len(snap.Slow); n < 2 || snap.Slow[n-2].Source != straddle[:511]+"…" || snap.Slow[n-1].Source != "'\uFFFD'" {
+		t.Errorf("slow log = %+v, want the straddling source cut before its last character, then '\uFFFD'", snap.Slow)
+	}
+	if res, _, err := rs.Execute("3 + 4"); err != nil || res != "7" {
+		t.Fatalf("execute after stats: %q, %v", res, err)
 	}
 	// Stats is session-scoped: a connection without a live session is
 	// refused.

@@ -608,7 +608,8 @@ func (c *serverConn) writeLoop() {
 	}
 }
 
-// writeOne encodes a response into the batch buffer. On a dead
+// writeOne encodes a response into the batch buffer. An answer too large
+// for one frame fails its own request, not the connection. On a dead
 // connection it does nothing: responses still pass through for
 // accounting, so drain and backpressure bookkeeping stay exact.
 func (c *serverConn) writeOne(bw *bufio.Writer, resp Response) {
@@ -616,6 +617,9 @@ func (c *serverConn) writeOne(bw *bufio.Writer, resp Response) {
 		return
 	}
 	n, err := writeFrame(bw, resp)
+	if errors.Is(err, errFrameTooLarge) {
+		n, err = writeFrame(bw, Response{ID: resp.ID, Status: StatusError, Error: err.Error()})
+	}
 	if err != nil {
 		c.dead.Store(true)
 		c.nc.Close()
