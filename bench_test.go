@@ -563,6 +563,11 @@ func BenchmarkOPAL(b *testing.B) {
 	s.MustRun(`Counter compile: 'init n := 0'`)
 	s.MustRun(`Counter compile: 'bump n := n + 1. ^n'`)
 	s.MustRun(`World at: #ctr put: (Counter new init; yourself)`)
+	// Committed classes, as every gsload workload sends through: a class
+	// still in the workspace times the own-write read path instead.
+	if _, err := s.Commit(); err != nil {
+		b.Fatal(err)
+	}
 	cases := map[string]string{
 		"arith":      "1 + 2 * 3 - 4",
 		"send":       "ctr bump",
@@ -586,6 +591,9 @@ func BenchmarkOPAL(b *testing.B) {
 	s.MustRun(`Depth0 compile: 'noop ^self'`)
 	for d := 1; d <= 16; d++ {
 		s.MustRun(fmt.Sprintf(`Depth%d subclass: 'Depth%d' instVarNames: #()`, d-1, d))
+	}
+	if _, err := s.Commit(); err != nil {
+		b.Fatal(err)
 	}
 	for _, d := range []int{0, 4, 16} {
 		src := fmt.Sprintf("| o | o := Depth%d new. 1 to: 100 do: [:i | o noop]. o", d)

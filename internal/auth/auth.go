@@ -131,6 +131,13 @@ func (a *Authorizer) update(edit func(st *state) error) error {
 	return nil
 }
 
+// Version names one published snapshot of the tables. Every edit publishes
+// a new snapshot, so two equal Versions answer every check the same.
+type Version struct{ st *state }
+
+// Version returns the current snapshot's name: one atomic load.
+func (a *Authorizer) Version() Version { return Version{a.cur.Load()} }
+
 // Authenticate verifies a name/password pair.
 func (a *Authorizer) Authenticate(name, password string) error {
 	u, ok := a.cur.Load().users[name]

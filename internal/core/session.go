@@ -168,6 +168,34 @@ func (s *Session) checkTime(t oop.Time) error {
 	return nil
 }
 
+// View names everything but the objects themselves that a read of a
+// committed object depends on: the transaction (its snapshot and read
+// set), the time dial, the workspace size and the authorization tables.
+// While a session's View is unchanged, every read of an object that is
+// Committed answers what the last one did, and the read set still holds
+// every read made under it. The workspace only grows within a
+// transaction, so the first own write to a committed object changes the
+// View.
+type View struct {
+	tx   txn.ID
+	dial oop.Time
+	ws   int
+	auth auth.Version
+}
+
+// View returns the session's current View. It is loads only.
+func (s *Session) View() View {
+	return View{tx: s.tx.ID, dial: s.dial, ws: len(s.ws), auth: s.db.auth.Version()}
+}
+
+// Committed reports whether obj is read from committed state alone:
+// neither a session transient nor in the workspace.
+func (s *Session) Committed(obj oop.OOP) bool {
+	_, transient := s.transients[obj.Serial()]
+	_, own := s.ws[obj.Serial()]
+	return !transient && !own
+}
+
 // --- Object access ---
 
 // seen is what one read of an object sees: the version to read, the state

@@ -351,21 +351,11 @@ func (in *Interp) installPrimitives() {
 				return oop.False, nil
 			}
 		}
-		selSym := in.s.Symbol(sel)
-		for c := in.classOf(r); c.IsHeap(); {
-			if m, _ := in.methodIn(c, sel, selSym); m != nil {
-				return oop.True, nil
-			}
-			if _, ok := in.prims[primKey{class: c, selector: sel}]; ok {
-				return oop.True, nil
-			}
-			sup, _, err := in.s.Fetch(c, in.wk.Superclass)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			c = sup
+		e, err := in.lookup(in.classOf(r), sel, in.s.Symbol(sel))
+		if err != nil {
+			return oop.Invalid, err
 		}
-		return oop.False, nil
+		return oop.FromBool(e.method != nil || e.prim != nil), nil
 	})
 	// Raw labeled-set element protocol (the GSDM view of every object).
 	in.reg("Object", "at:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -807,7 +797,6 @@ func (in *Interp) installPrimitives() {
 		if err := in.s.Remove(dict, in.s.Symbol(sel)); err != nil {
 			return oop.Invalid, err
 		}
-		delete(in.cache, cacheKey{class: r.Serial(), selector: sel})
 		return r, nil
 	})
 	in.reg("Class", "selectors", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -884,7 +873,10 @@ func (in *Interp) defineClass(name string, super oop.OOP, ivars []string) (oop.O
 		if err := in.s.Store(existing, in.wk.InstVarNames, arr); err != nil {
 			return oop.Invalid, err
 		}
+		// Instance-variable offsets changed under unchanged sources: no
+		// compiled method or lookup of this interpreter survives.
 		in.cache = make(map[cacheKey]*cacheEntry)
+		clear(in.dispatch)
 		return existing, nil
 	}
 	k := in.s.DB().Kernel()
@@ -969,7 +961,6 @@ func (in *Interp) defineMethod(class oop.OOP, src string) (oop.OOP, error) {
 	if err := in.s.Store(dict, in.s.Symbol(ast.selector), srcObj); err != nil {
 		return oop.Invalid, err
 	}
-	delete(in.cache, cacheKey{class: class.Serial(), selector: ast.selector})
 	return in.s.Symbol(ast.selector), nil
 }
 

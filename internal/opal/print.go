@@ -43,13 +43,7 @@ func (in *Interp) printValue(v oop.OOP, depth int) (string, error) {
 		return fmt.Sprintf("aBlock(%d args)", cl.code.numArgs), nil
 	}
 	// A user-defined printString overrides the structural printer.
-	if depth > 0 {
-		if s, ok, err := in.userPrintString(v); err != nil {
-			return "", err
-		} else if ok {
-			return s, nil
-		}
-	} else if s, ok, err := in.userPrintString(v); err != nil {
+	if s, ok, err := in.userPrintString(v); err != nil {
 		return "", err
 	} else if ok {
 		return s, nil
@@ -57,30 +51,21 @@ func (in *Interp) printValue(v oop.OOP, depth int) (string, error) {
 	return in.structuralPrint(v, depth)
 }
 
-// userPrintString invokes a printString METHOD (not the primitive) if one
-// is defined anywhere along the receiver's class chain.
+// userPrintString invokes a printString METHOD (not the primitive) if a
+// send of printString to v would run one.
 func (in *Interp) userPrintString(v oop.OOP) (string, bool, error) {
-	sel := in.s.Symbol("printString")
-	for c := in.classOf(v); c.IsHeap(); {
-		if m, err := in.methodIn(c, "printString", sel); err != nil {
-			return "", false, err
-		} else if m != nil {
-			res, err := in.run(m, v, c, nil)
-			if err != nil {
-				return "", false, err
-			}
-			if s, ok := in.stringValue(res); ok {
-				return s, true, nil
-			}
-			return "", false, fmt.Errorf("opal: printString returned a non-string")
-		}
-		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
-		if err != nil {
-			return "", false, err
-		}
-		c = sup
+	e, err := in.lookup(in.classOf(v), "printString", in.s.Symbol("printString"))
+	if err != nil || e.method == nil {
+		return "", false, err
 	}
-	return "", false, nil
+	res, err := in.run(e.method, v, e.definer, nil)
+	if err != nil {
+		return "", false, err
+	}
+	if s, ok := in.stringValue(res); ok {
+		return s, true, nil
+	}
+	return "", false, fmt.Errorf("opal: printString returned a non-string")
 }
 
 func (in *Interp) structuralPrint(v oop.OOP, depth int) (string, error) {

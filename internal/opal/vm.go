@@ -52,6 +52,7 @@ type Interp struct {
 
 	prims     map[primKey]primFn
 	cache     map[cacheKey]*cacheEntry
+	dispatch  map[dispatchKey]dispatchEntry
 	wk        core.ClassSymbols
 	blocks    map[uint64]*closure // the current request's closures
 	nextTrans uint64              // never reused, so a stale block OOP resolves to nothing
@@ -81,6 +82,21 @@ type cacheEntry struct {
 	compiled *compiledMethod
 }
 
+// dispatchKey is one method lookup: a selector's symbol sent to a class.
+type dispatchKey struct {
+	class, sel uint64
+}
+
+// dispatchEntry is a lookup's answer, valid while the session's View is
+// view: the class that defines the selector and its compiled method or
+// primitive. Both nil means the class does not understand it.
+type dispatchEntry struct {
+	view    core.View
+	definer oop.OOP
+	method  *compiledMethod
+	prim    primFn
+}
+
 // NewInterp creates an interpreter bound to a session. It installs the
 // kernel primitives and (once per database) the kernel method sources.
 func NewInterp(s *core.Session) (*Interp, error) {
@@ -88,6 +104,7 @@ func NewInterp(s *core.Session) (*Interp, error) {
 		s:         s,
 		prims:     make(map[primKey]primFn),
 		cache:     make(map[cacheKey]*cacheEntry),
+		dispatch:  make(map[dispatchKey]dispatchEntry),
 		wk:        s.DB().ClassSymbols(),
 		blocks:    make(map[uint64]*closure),
 		nextTrans: transientBase,
@@ -324,33 +341,64 @@ func (in *Interp) sendToClass(recv, class oop.OOP, selector string, sel oop.OOP,
 	if err := in.poll(); err != nil {
 		return oop.Invalid, err
 	}
-	cls := class
-	for cls.IsHeap() {
-		// User-defined (or kernel OPAL) method first, then primitive.
-		if m, err := in.methodIn(cls, selector, sel); err != nil {
-			return oop.Invalid, err
-		} else if m != nil {
-			return in.run(m, recv, cls, args)
-		}
-		if fn, ok := in.prims[primKey{class: cls, selector: selector}]; ok {
-			return fn(in, recv, args)
-		}
-		sup, _, err := in.s.Fetch(cls, in.wk.Superclass)
-		if err != nil {
-			return oop.Invalid, err
-		}
-		cls = sup
+	e, err := in.lookup(class, selector, sel)
+	switch {
+	case err != nil:
+		return oop.Invalid, err
+	case e.method != nil:
+		return in.run(e.method, recv, e.definer, args)
+	case e.prim != nil:
+		return e.prim(in, recv, args)
 	}
 	return oop.Invalid, fmt.Errorf("opal: %s doesNotUnderstand: #%s", in.classNameOf(recv), selector)
 }
 
-// methodIn returns the compiled method defined directly in class for
-// selector (whose symbol is sel), if any, compiling and caching as needed.
-func (in *Interp) methodIn(class oop.OOP, selector string, sel oop.OOP) (*compiledMethod, error) {
-	dictOOP, ok, err := in.s.Fetch(class, in.wk.Methods)
-	if err != nil || !ok || !dictOOP.IsHeap() {
-		return nil, err
+// lookup finds what a send of selector (whose symbol is sel) to an
+// instance of class runs. It walks the class chain, in each class the
+// user-defined (or kernel OPAL) method first, then the primitive. A walk
+// that read only committed classes and method dictionaries is remembered
+// until the session's View changes: until then every Fetch it made would
+// answer the same, and its live reads are already in the read set.
+func (in *Interp) lookup(class oop.OOP, selector string, sel oop.OOP) (dispatchEntry, error) {
+	key := dispatchKey{class: class.Serial(), sel: sel.Serial()}
+	e := dispatchEntry{view: in.s.View()}
+	if hit, ok := in.dispatch[key]; ok && hit.view == e.view {
+		return hit, nil
 	}
+	committed := true
+	for cls := class; cls.IsHeap(); {
+		committed = committed && in.s.Committed(cls)
+		dict, ok, err := in.s.Fetch(cls, in.wk.Methods)
+		if err != nil {
+			return dispatchEntry{}, err
+		}
+		if ok && dict.IsHeap() {
+			committed = committed && in.s.Committed(dict)
+			if m, err := in.methodIn(cls, dict, selector, sel); err != nil {
+				return dispatchEntry{}, err
+			} else if m != nil {
+				e.definer, e.method = cls, m
+				break
+			}
+		}
+		if fn, ok := in.prims[primKey{class: cls, selector: selector}]; ok {
+			e.definer, e.prim = cls, fn
+			break
+		}
+		if cls, _, err = in.s.Fetch(cls, in.wk.Superclass); err != nil {
+			return dispatchEntry{}, err
+		}
+	}
+	if committed {
+		in.dispatch[key] = e
+	}
+	return e, nil
+}
+
+// methodIn returns the compiled method that class's method dictionary
+// dictOOP holds for selector (whose symbol is sel), if any, compiling and
+// caching as needed.
+func (in *Interp) methodIn(class, dictOOP oop.OOP, selector string, sel oop.OOP) (*compiledMethod, error) {
 	srcOOP, ok, err := in.s.Fetch(dictOOP, sel)
 	if err != nil || !ok || srcOOP == oop.Nil {
 		return nil, err

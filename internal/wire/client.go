@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -150,12 +151,15 @@ func (c *Client) Close() error {
 }
 
 // readLoop demultiplexes responses to the calls waiting on them. A
-// response whose call already gave up (call timeout) is dropped.
+// response whose call already gave up (call timeout) is dropped. One
+// buffered reader serves the connection's life, so a frame's header and
+// body, and back-to-back frames, arrive in one read.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	br := bufio.NewReader(c.conn)
 	for {
 		var resp Response
-		if _, err := readFrame(c.conn, &resp); err != nil {
+		if _, err := readFrame(br, &resp); err != nil {
 			c.failPending(fmt.Errorf("wire: connection lost: %w", err))
 			return
 		}

@@ -371,16 +371,19 @@ func (s *Server) handle(nc net.Conn) {
 // readLoop pulls frames until the connection errors or idles out. Each
 // frame takes an in-flight token (backpressure: past MaxInFlight the
 // reader stops, pushing into the client's TCP window) and a gate count
-// (drain accounting), both released when its response is flushed.
+// (drain accounting), both released when its response is flushed. One
+// buffered reader serves the connection's life; the idle deadline still
+// bounds every read it makes of the connection.
 func (c *serverConn) readLoop() {
 	s := c.srv
+	br := bufio.NewReader(c.nc)
 	for {
 		if d := s.cfg.IdleTimeout; d > 0 {
 			//lint:ignore wallclock connection deadline only; never reaches committed state
 			_ = c.nc.SetReadDeadline(time.Now().Add(d))
 		}
 		req := new(Request)
-		n, err := readFrame(c.nc, req)
+		n, err := readFrame(br, req)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.met.idleDrops.Inc()
