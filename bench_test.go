@@ -175,6 +175,48 @@ func BenchmarkC2_AssociativeAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCalculusScan is the per-member cost of an unindexed calculus
+// scan: `e!badge = k` over 2,000 committed members, one path step read per
+// member. The query is parsed and planned once, as a plan cache would.
+func BenchmarkCalculusScan(b *testing.B) {
+	const n = 2000
+	_, s := openBenchDB(b)
+	cs := s.Core()
+	s.MustRun("World at: #emps put: Set new")
+	emps, err := s.Path("World!emps", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	badge := cs.Symbol("badge")
+	for i := 0; i < n; i++ {
+		e, _ := cs.NewObject(cs.DB().Kernel().Object)
+		if err := cs.Store(e, badge, oop.MustInt(int64(i*37%n))); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cs.AddToSet(emps, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := s.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	q, err := calculus.Parse(fmt.Sprintf("{E: e} where (e in World!emps) and e!badge = %d", n/2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := algebra.Optimize(q, cs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rows, _, err := plan.Exec(cs); err != nil || len(rows) != 1 {
+			b.Fatalf("scan = %d rows (%v), want 1", len(rows), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/member")
+}
+
 // --- C3: optimistic concurrency ---
 
 func BenchmarkC3_OptimisticCommits(b *testing.B) {

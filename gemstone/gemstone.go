@@ -187,7 +187,11 @@ type Result struct {
 	Output  string // Transcript output produced during execution
 }
 
-// Execute compiles and runs a block of OPAL source.
+// Execute compiles and runs a block of OPAL source. The result Value, and
+// every object the block made but did not store into persistent state,
+// stay valid for the life of the session: a Go host may keep any Value it
+// was handed. (The network executor, whose clients see only text, drops
+// them at the end of each request instead.)
 func (se *Session) Execute(source string) (Result, error) {
 	v, err := se.in.Execute(source)
 	out := se.in.TakeOutput()

@@ -19,6 +19,9 @@ package calculus
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
+	"repro/internal/oop"
 )
 
 // Query is a parsed calculus expression.
@@ -115,6 +118,12 @@ type PathStep struct {
 	Index   int64
 	HasAt   bool
 	At      uint64
+
+	// sym is Name's symbol in db, interned on the step's first evaluation
+	// there (elementName). Like OPAL's compiled code, a parsed query is
+	// evaluated by one session at a time, so the cell takes no lock.
+	db  *core.DB
+	sym oop.OOP
 }
 
 // FreeVars implements Expr.

@@ -60,35 +60,40 @@ const (
 )
 
 // Decode converts an OOP into a Value using the session to resolve boxed
-// floats and byte objects.
-func Decode(s *core.Session, o oop.OOP) Value {
+// floats and byte objects. An object the session may not read is an error.
+func Decode(s *core.Session, o oop.OOP) (Value, error) {
 	switch {
 	case o == oop.Nil || o == oop.Invalid:
-		return Value{Kind: VNil, O: oop.Nil}
+		return Value{Kind: VNil, O: oop.Nil}, nil
 	case o == oop.True:
-		return Value{Kind: VBool, B: true, O: o}
+		return Value{Kind: VBool, B: true, O: o}, nil
 	case o == oop.False:
-		return Value{Kind: VBool, B: false, O: o}
+		return Value{Kind: VBool, B: false, O: o}, nil
 	case o.IsSmallInt():
-		return Value{Kind: VNum, N: float64(o.Int()), O: o}
+		return Value{Kind: VNum, N: float64(o.Int()), O: o}, nil
 	case o.IsCharacter():
-		return Value{Kind: VChar, S: string(o.Char()), O: o}
+		return Value{Kind: VChar, S: string(o.Char()), O: o}, nil
 	}
-	cls := s.ClassOf(o)
+	cls, err := s.ClassOf(o)
+	if err != nil {
+		return Value{}, err
+	}
 	k := s.DB().Kernel()
 	switch cls {
 	case k.Float:
 		f, err := s.FloatValue(o)
-		if err == nil {
-			return Value{Kind: VNum, N: f, O: o}
+		if err != nil {
+			return Value{}, err
 		}
+		return Value{Kind: VNum, N: f, O: o}, nil
 	case k.String, k.Symbol:
 		b, err := s.BytesOf(o)
-		if err == nil {
-			return Value{Kind: VStr, S: string(b), O: o}
+		if err != nil {
+			return Value{}, err
 		}
+		return Value{Kind: VStr, S: string(b), O: o}, nil
 	}
-	return Value{Kind: VObj, O: o}
+	return Value{Kind: VObj, O: o}, nil
 }
 
 // Equal reports calculus equality of two values.
@@ -142,7 +147,7 @@ func Eval(s *core.Session, e Expr, env Env) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Decode(s, o), nil
+		return Decode(s, o)
 	case *Not:
 		v, err := Eval(s, n.E, env)
 		if err != nil {
@@ -170,22 +175,17 @@ func EvalPath(s *core.Session, p *Path, env Env) (oop.OOP, error) {
 			return oop.Invalid, fmt.Errorf("calculus: unbound variable %q", p.Root)
 		}
 	}
-	for _, st := range p.Steps {
+	for i := range p.Steps {
+		st := &p.Steps[i]
 		if !cur.IsHeap() {
 			return oop.Invalid, fmt.Errorf("calculus: cannot traverse %q from a simple value in %s", st.Name, p)
-		}
-		var name oop.OOP
-		if st.IsIndex {
-			name = oop.MustInt(st.Index)
-		} else {
-			name = s.Symbol(st.Name)
 		}
 		var v oop.OOP
 		var err error
 		if st.HasAt {
-			v, _, err = s.FetchAt(cur, name, oop.Time(st.At))
+			v, _, err = s.FetchAt(cur, st.elementName(s), oop.Time(st.At))
 		} else {
-			v, _, err = s.Fetch(cur, name)
+			v, _, err = s.Fetch(cur, st.elementName(s))
 		}
 		if err != nil {
 			return oop.Invalid, err
@@ -193,6 +193,18 @@ func EvalPath(s *core.Session, p *Path, env Env) (oop.OOP, error) {
 		cur = v
 	}
 	return cur, nil
+}
+
+// elementName is the element the step reads: its index, or its name's
+// symbol, interned once per parsed query and database, not once per tuple.
+func (st *PathStep) elementName(s *core.Session) oop.OOP {
+	if st.IsIndex {
+		return oop.MustInt(st.Index)
+	}
+	if db := s.DB(); st.db != db {
+		st.sym, st.db = s.Symbol(st.Name), db
+	}
+	return st.sym
 }
 
 func evalBinary(s *core.Session, n *Binary, env Env) (Value, error) {
@@ -301,7 +313,11 @@ func evalIn(s *core.Session, l, r Value) (Value, error) {
 		// member's bytes against l directly — string(b) == l.S compiles to
 		// an allocation-free comparison — instead of decoding a Value.
 		if l.Kind == VStr && m.IsHeap() {
-			if cls := s.ClassOf(m); cls == k.String || cls == k.Symbol {
+			cls, err := s.ClassOf(m)
+			if err != nil {
+				return err
+			}
+			if cls == k.String || cls == k.Symbol {
 				b, err := s.BytesOf(m)
 				if err != nil {
 					return err
@@ -313,7 +329,11 @@ func evalIn(s *core.Session, l, r Value) (Value, error) {
 				return nil
 			}
 		}
-		if Equal(l, Decode(s, m)) {
+		v, err := Decode(s, m)
+		if err != nil {
+			return err
+		}
+		if Equal(l, v) {
 			found = true
 			return errStopIteration
 		}

@@ -210,17 +210,25 @@ func TestDecodeKinds(t *testing.T) {
 		{s.Symbol("sym"), VStr},
 		{obj, VObj},
 	}
+	decode := func(o oop.OOP) Value {
+		t.Helper()
+		v, err := Decode(s, o)
+		if err != nil {
+			t.Fatalf("Decode(%v): %v", o, err)
+		}
+		return v
+	}
 	for _, c := range cases {
-		if got := Decode(s, c.v); got.Kind != c.kind {
+		if got := decode(c.v); got.Kind != c.kind {
 			t.Errorf("Decode(%v).Kind = %v, want %v", c.v, got.Kind, c.kind)
 		}
 	}
 	// Identity semantics for objects.
-	if !Equal(Decode(s, obj), Decode(s, obj)) {
+	if !Equal(decode(obj), decode(obj)) {
 		t.Error("object not equal to itself")
 	}
 	obj2, _ := s.NewObject(k.Object)
-	if Equal(Decode(s, obj), Decode(s, obj2)) {
+	if Equal(decode(obj), decode(obj2)) {
 		t.Error("distinct objects equal")
 	}
 }

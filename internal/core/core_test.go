@@ -79,11 +79,10 @@ func TestBootstrapKernel(t *testing.T) {
 		t.Error("SmallInteger superclass should be Number")
 	}
 	// ClassOf immediates.
-	if s.ClassOf(oop.MustInt(5)) != k.SmallInteger {
-		t.Error("ClassOf(5)")
-	}
-	if s.ClassOf(oop.Nil) != k.UndefinedObject || s.ClassOf(oop.True) != k.TrueClass {
-		t.Error("ClassOf specials")
+	for v, want := range map[oop.OOP]oop.OOP{oop.MustInt(5): k.SmallInteger, oop.Nil: k.UndefinedObject, oop.True: k.TrueClass} {
+		if got, err := s.ClassOf(v); err != nil || got != want {
+			t.Errorf("ClassOf(%v) = %v (%v), want %v", v, got, err, want)
+		}
 	}
 	if _, ok := s.Global("World"); !ok {
 		t.Error("World global missing")
@@ -785,8 +784,8 @@ func TestFloatRoundTrip(t *testing.T) {
 	if err != nil || v != 3.14159 {
 		t.Errorf("FloatValue = %v %v", v, err)
 	}
-	if s.ClassOf(f) != db.Kernel().Float {
-		t.Error("float class wrong")
+	if cls, err := s.ClassOf(f); err != nil || cls != db.Kernel().Float {
+		t.Errorf("float class = %v (%v)", cls, err)
 	}
 }
 

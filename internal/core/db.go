@@ -64,14 +64,15 @@ type DB struct {
 	// The shared read path takes no lock: cache, symByName and symByOOP
 	// only ever hold immutable values (a commit publishes a fresh object
 	// under a serial rather than editing one; a symbol is never re-bound),
-	// so a hit is a load. Writers still serialise on mu: commit publish,
-	// directory maintenance and symbol interning all store under it.
+	// so a hit is loads only. Writers still serialise on mu: commit
+	// publish, directory maintenance and symbol interning all store under
+	// it.
 	mu      sync.RWMutex // guards newSyms, dirs
 	newSyms []oop.OOP    // interned but not yet in the durable registry
 
-	cache     sync.Map // uint64 serial -> *object.Object, committed and immutable
-	symByName sync.Map // string -> oop.OOP
-	symByOOP  sync.Map // oop.OOP -> string
+	cache     serialTable // committed and immutable objects, by serial
+	symByName sync.Map    // string -> oop.OOP
+	symByOOP  sync.Map    // oop.OOP -> string
 
 	serialMu   sync.Mutex // guards nextSerial
 	nextSerial uint64
@@ -187,31 +188,15 @@ func (db *DB) serialHighWater() uint64 {
 	return db.nextSerial
 }
 
-// cached returns the committed object cached under serial, if any.
-func (db *DB) cached(serial uint64) (*object.Object, bool) {
-	v, ok := db.cache.Load(serial)
-	if !ok {
-		return nil, false
-	}
-	return v.(*object.Object), true
-}
-
-// remember caches ob, just loaded from the store, unless another loader or
-// a commit's publish got there first; it returns the version that stays.
-func (db *DB) remember(ob *object.Object) *object.Object {
-	v, _ := db.cache.LoadOrStore(ob.OOP.Serial(), ob)
-	return v.(*object.Object)
-}
-
 // publish makes ob, a freshly committed version, the one readers load.
 // Writers call it with db.mu held, so publishes never interleave.
-func (db *DB) publish(ob *object.Object) { db.cache.Store(ob.OOP.Serial(), ob) }
+func (db *DB) publish(ob *object.Object) { db.cache.store(ob) }
 
 // loadCommitted returns the committed version of an object, via the shared
 // cache. The returned object is shared: callers must not mutate it. A hit
 // takes no lock.
 func (db *DB) loadCommitted(o oop.OOP) (*object.Object, error) {
-	if ob, ok := db.cached(o.Serial()); ok {
+	if ob := db.cache.load(o.Serial()); ob != nil {
 		return ob, nil
 	}
 	ob, err := db.st.Load(o)
@@ -227,7 +212,9 @@ func (db *DB) loadCommitted(o oop.OOP) (*object.Object, error) {
 			return nil, err
 		}
 	}
-	return db.remember(ob), nil
+	// Another loader or a commit's publish may have got there first: keep
+	// the version that stays.
+	return db.cache.loadOrStore(ob), nil
 }
 
 // --- Symbols ---

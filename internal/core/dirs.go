@@ -231,14 +231,14 @@ func sortedNames(members map[oop.OOP]memberInfo) []oop.OOP {
 
 // loadLocked loads a committed object while db.mu is held.
 func (db *DB) loadLocked(o oop.OOP) (*object.Object, error) {
-	if ob, ok := db.cached(o.Serial()); ok {
+	if ob := db.cache.load(o.Serial()); ob != nil {
 		return ob, nil
 	}
 	ob, err := db.st.Load(o)
 	if err != nil {
 		return nil, err
 	}
-	return db.remember(ob), nil
+	return db.cache.loadOrStore(ob), nil
 }
 
 // maintainDirectoriesLocked is the Linker's directory pass, run just after

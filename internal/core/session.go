@@ -39,11 +39,13 @@ type Session struct {
 
 	// transients are session-private objects not yet attached to any
 	// persistent object. They are never validated, never committed, and
-	// simply discarded with the session — "an entire session workspace can
-	// be discarded at the end of a session" (paper §6), which is how OPAL
-	// temporaries avoid both garbage collection and database growth. A
-	// transient is promoted into the workspace (with everything it
-	// references) the moment it is stored into a persistent object.
+	// simply discarded — "an entire session workspace can be discarded at
+	// the end of a session" (paper §6), which is how OPAL temporaries
+	// avoid both garbage collection and database growth. A transient is
+	// promoted into the workspace (with everything it references) the
+	// moment it is stored into a persistent object. An owner that knows
+	// where a request ends and keeps none of its OOPs drops the rest there
+	// (DropTransients); otherwise they live as long as the session.
 	transients map[uint64]*object.Object
 	// promoted tracks transients promoted during the current transaction,
 	// so an abort can demote them instead of losing them.
@@ -434,26 +436,27 @@ func (s *Session) ElementNames(obj oop.OOP) ([]oop.OOP, error) {
 	return names, err
 }
 
-// ClassOf returns the class of any value, immediates included.
-func (s *Session) ClassOf(o oop.OOP) oop.OOP {
+// ClassOf returns the class of any value, immediates included. A heap
+// object the session may not read, or that does not exist, is an error.
+func (s *Session) ClassOf(o oop.OOP) (oop.OOP, error) {
 	k := s.db.kernel
 	switch {
 	case o == oop.Nil:
-		return k.UndefinedObject
+		return k.UndefinedObject, nil
 	case o == oop.True:
-		return k.TrueClass
+		return k.TrueClass, nil
 	case o == oop.False:
-		return k.FalseClass
+		return k.FalseClass, nil
 	case o.IsSmallInt():
-		return k.SmallInteger
+		return k.SmallInteger, nil
 	case o.IsCharacter():
-		return k.Character
+		return k.Character, nil
 	}
 	r, err := s.see(o, oop.TimeNow, false)
 	if err != nil {
-		return k.Object
+		return oop.Invalid, err
 	}
-	return r.ob.Class
+	return r.ob.Class, nil
 }
 
 // --- Creation ---
@@ -659,6 +662,50 @@ func (s *Session) Abort() {
 func (s *Session) Close() {
 	s.db.txm.Abort(s.tx)
 }
+
+// DropTransients ends a request for an owner that keeps none of its OOPs:
+// it drops every transient not reachable from the workspace's pending
+// values, the only roots such a request leaves. A read-only request leaves
+// none, so the whole transient space goes at once. A dropped transient's
+// serial is never reused, so a stale reference to it fails to read.
+func (s *Session) DropTransients() {
+	kept := make(map[uint64]*object.Object)
+	var reached []*object.Object
+	keep := func(v oop.OOP) {
+		if !v.IsHeap() {
+			return
+		}
+		if ob, ok := s.transients[v.Serial()]; ok {
+			if _, done := kept[v.Serial()]; !done {
+				kept[v.Serial()] = ob
+				reached = append(reached, ob)
+			}
+		}
+	}
+	for _, ob := range sortedWorkspace(s.ws) {
+		eachPendingRef(ob, keep)
+	}
+	for len(reached) > 0 {
+		ob := reached[len(reached)-1]
+		reached = reached[:len(reached)-1]
+		eachPendingRef(ob, keep)
+	}
+	s.transients = kept
+}
+
+// eachPendingRef calls fn with ob's class and the pending value of each of
+// its elements: every reference ob holds that is not yet committed.
+func eachPendingRef(ob *object.Object, fn func(oop.OOP)) {
+	fn(ob.Class)
+	for _, el := range ob.Elements() {
+		if n := len(el.Hist); n > 0 && el.Hist[n-1].T == object.PendingTime {
+			fn(el.Hist[n-1].Value)
+		}
+	}
+}
+
+// Transients reports how many transients the session holds.
+func (s *Session) Transients() int { return len(s.transients) }
 
 func (s *Session) demotePromoted() {
 	for serial, ob := range s.promoted {

@@ -171,6 +171,10 @@ func (e *Executor) Execute(id SessionID, source string) (result, output string, 
 // the session's transaction back — a half-applied OPAL block must not
 // survive into a later commit — and the session stays usable. A nil ctx
 // never cancels.
+//
+// The caller gets text only, so no OOP outlives the request: once the
+// answer is printed, whether the block succeeded or failed, the session
+// drops every transient its workspace does not reach.
 func (e *Executor) ExecuteCtx(ctx context.Context, id SessionID, source string) (result, output string, err error) {
 	r, err := e.session(id)
 	if err != nil {
@@ -183,6 +187,7 @@ func (e *Executor) ExecuteCtx(ctx context.Context, id SessionID, source string) 
 	if r.se == nil {
 		return "", "", fmt.Errorf("%w: %d", ErrNoSession, id)
 	}
+	defer r.se.Core().DropTransients()
 	r.se.SetContext(ctx)
 	defer r.se.SetContext(nil)
 	sw := e.met.executeNS.Start()

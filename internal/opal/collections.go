@@ -135,8 +135,8 @@ func (in *Interp) installCollectionPrims() {
 			return oop.Invalid, err
 		}
 		for _, m := range ms {
-			if in.equalValues(m, a[0]) {
-				return a[0], nil
+			if eq, err := in.equalValues(m, a[0]); err != nil || eq {
+				return a[0], err
 			}
 		}
 		if _, err := in.s.AddToSet(r, a[0]); err != nil {
@@ -156,7 +156,11 @@ func (in *Interp) installCollectionPrims() {
 			return oop.Invalid, err
 		}
 		for i, m := range ms {
-			if in.equalValues(m, a[0]) {
+			eq, err := in.equalValues(m, a[0])
+			if err != nil {
+				return oop.Invalid, err
+			}
+			if eq {
 				if err := in.s.RemoveFromSet(r, ns[i]); err != nil {
 					return oop.Invalid, err
 				}
@@ -194,8 +198,8 @@ func (in *Interp) installCollectionPrims() {
 			return oop.Invalid, err
 		}
 		for _, m := range ms {
-			if in.equalValues(m, a[0]) {
-				return oop.True, nil
+			if eq, err := in.equalValues(m, a[0]); err != nil || eq {
+				return oop.True, err
 			}
 		}
 		return oop.False, nil
@@ -210,7 +214,11 @@ func (in *Interp) installCollectionPrims() {
 	// directories"): aSet indexOn: 'salary' or indexOn: #(dept name).
 	in.reg("Set", "indexOn:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		var path []string
-		if s, ok := in.stringValue(a[0]); ok {
+		s, ok, err := in.stringValue(a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			path = []string{s}
 		} else if sym, ok := in.s.SymbolName(a[0]); ok {
 			path = []string{sym}
@@ -220,7 +228,11 @@ func (in *Interp) installCollectionPrims() {
 				return oop.Invalid, err
 			}
 			for _, v := range vals {
-				if s, ok := in.stringValue(v); ok {
+				s, ok, err := in.stringValue(v)
+				if err != nil {
+					return oop.Invalid, err
+				}
+				if ok {
 					path = append(path, s)
 				} else if sym, ok := in.s.SymbolName(v); ok {
 					path = append(path, sym)
@@ -239,20 +251,28 @@ func (in *Interp) installCollectionPrims() {
 	// Keys that are symbols, strings or integers are stored directly as
 	// element names (so path expressions see them); other keys fall back to
 	// alias-labeled Associations.
-	dictKeyName := func(in *Interp, key oop.OOP) (oop.OOP, bool) {
+	dictKeyName := func(in *Interp, key oop.OOP) (oop.OOP, bool, error) {
 		if key.IsSmallInt() {
-			return key, true
+			return key, true, nil
 		}
-		if s, ok := in.stringValue(key); ok {
-			return in.s.Symbol(s), true
+		s, ok, err := in.stringValue(key)
+		if err != nil {
+			return oop.Invalid, false, err
+		}
+		if ok {
+			return in.s.Symbol(s), true, nil
 		}
 		if _, ok := in.s.SymbolName(key); ok {
-			return key, true
+			return key, true, nil
 		}
-		return oop.Invalid, false
+		return oop.Invalid, false, nil
 	}
 	in.reg("Dictionary", "at:put:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		if name, ok := dictKeyName(in, a[0]); ok {
+		name, ok, err := dictKeyName(in, a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			if err := in.s.Store(r, name, a[1]); err != nil {
 				return oop.Invalid, err
 			}
@@ -263,17 +283,13 @@ func (in *Interp) installCollectionPrims() {
 		if err != nil {
 			return oop.Invalid, err
 		}
-		keySym, valSym := in.s.Symbol("key"), in.s.Symbol("value")
-		for _, m := range ms {
-			if in.s.ClassOf(m) == in.s.DB().Kernel().Association {
-				kv, _, _ := in.s.Fetch(m, keySym)
-				if in.equalValues(kv, a[0]) {
-					if err := in.s.Store(m, valSym, a[1]); err != nil {
-						return oop.Invalid, err
-					}
-					return a[1], nil
-				}
+		if i, err := in.assocIndex(ms, a[0]); err != nil {
+			return oop.Invalid, err
+		} else if i >= 0 {
+			if err := in.s.Store(ms[i], in.s.Symbol("value"), a[1]); err != nil {
+				return oop.Invalid, err
 			}
+			return a[1], nil
 		}
 		assoc, err := in.Send(a[0], "->", a[1])
 		if err != nil {
@@ -285,7 +301,11 @@ func (in *Interp) installCollectionPrims() {
 		return a[1], nil
 	})
 	dictAt := func(in *Interp, r oop.OOP, key oop.OOP) (oop.OOP, bool, error) {
-		if name, ok := dictKeyName(in, key); ok {
+		name, ok, err := dictKeyName(in, key)
+		if err != nil {
+			return oop.Invalid, false, err
+		}
+		if ok {
 			v, found, err := in.s.Fetch(r, name)
 			if err != nil {
 				return oop.Invalid, false, err
@@ -296,17 +316,12 @@ func (in *Interp) installCollectionPrims() {
 		if err != nil {
 			return oop.Invalid, false, err
 		}
-		keySym, valSym := in.s.Symbol("key"), in.s.Symbol("value")
-		for _, m := range ms {
-			if in.s.ClassOf(m) == in.s.DB().Kernel().Association {
-				kv, _, _ := in.s.Fetch(m, keySym)
-				if in.equalValues(kv, key) {
-					v, _, err := in.s.Fetch(m, valSym)
-					return v, true, err
-				}
-			}
+		i, err := in.assocIndex(ms, key)
+		if err != nil || i < 0 {
+			return oop.Nil, false, err
 		}
-		return oop.Nil, false, nil
+		v, _, err := in.s.Fetch(ms[i], in.s.Symbol("value"))
+		return v, true, err
 	}
 	in.reg("Dictionary", "at:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		v, found, err := dictAt(in, r, a[0])
@@ -339,7 +354,11 @@ func (in *Interp) installCollectionPrims() {
 		return oop.FromBool(found), nil
 	})
 	in.reg("Dictionary", "removeKey:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		if name, ok := dictKeyName(in, a[0]); ok {
+		name, ok, err := dictKeyName(in, a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			if v, found, err := in.s.Fetch(r, name); err != nil {
 				return oop.Invalid, err
 			} else if !found || v == oop.Nil {
@@ -354,19 +373,17 @@ func (in *Interp) installCollectionPrims() {
 		if err != nil {
 			return oop.Invalid, err
 		}
-		keySym := in.s.Symbol("key")
-		for i, m := range ms {
-			if in.s.ClassOf(m) == in.s.DB().Kernel().Association {
-				kv, _, _ := in.s.Fetch(m, keySym)
-				if in.equalValues(kv, a[0]) {
-					if err := in.s.Remove(r, ns[i]); err != nil {
-						return oop.Invalid, err
-					}
-					return a[0], nil
-				}
-			}
+		i, err := in.assocIndex(ms, a[0])
+		if err != nil {
+			return oop.Invalid, err
 		}
-		return oop.Invalid, fmt.Errorf("opal: key not found")
+		if i < 0 {
+			return oop.Invalid, fmt.Errorf("opal: key not found")
+		}
+		if err := in.s.Remove(r, ns[i]); err != nil {
+			return oop.Invalid, err
+		}
+		return a[0], nil
 	})
 	// keysAndValuesDo: iterates both direct elements and associations.
 	in.reg("Dictionary", "keysAndValuesDo:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -442,6 +459,29 @@ func (in *Interp) installCollectionPrims() {
 	})
 }
 
+// assocIndex returns the index in ms of the Association whose key equals
+// key, or -1 if there is none.
+func (in *Interp) assocIndex(ms []oop.OOP, key oop.OOP) (int, error) {
+	keySym, assocCls := in.s.Symbol("key"), in.s.DB().Kernel().Association
+	for i, m := range ms {
+		if cls, err := in.s.ClassOf(m); err != nil {
+			return -1, err
+		} else if cls != assocCls {
+			continue
+		}
+		kv, _, err := in.s.Fetch(m, keySym)
+		if err != nil {
+			return -1, err
+		}
+		if eq, err := in.equalValues(kv, key); err != nil {
+			return -1, err
+		} else if eq {
+			return i, nil
+		}
+	}
+	return -1, nil
+}
+
 // dictPairs lists a Dictionary's (key, value) pairs: direct elements first
 // (key rendered as the name symbol or integer), then associations.
 func (in *Interp) dictPairs(r oop.OOP) ([][2]oop.OOP, error) {
@@ -463,11 +503,17 @@ func (in *Interp) dictPairs(r oop.OOP) ([][2]oop.OOP, error) {
 		if !ok || v == oop.Nil {
 			continue
 		}
-		if v.IsHeap() && in.s.ClassOf(v) == assocCls && in.s.IsAlias(n) {
-			k, _, _ := in.s.Fetch(v, keySym)
-			val, _, _ := in.s.Fetch(v, valSym)
-			out = append(out, [2]oop.OOP{k, val})
-			continue
+		if v.IsHeap() && in.s.IsAlias(n) {
+			cls, err := in.s.ClassOf(v)
+			if err != nil {
+				return nil, err
+			}
+			if cls == assocCls {
+				k, _, _ := in.s.Fetch(v, keySym)
+				val, _, _ := in.s.Fetch(v, valSym)
+				out = append(out, [2]oop.OOP{k, val})
+				continue
+			}
 		}
 		out = append(out, [2]oop.OOP{n, v})
 	}

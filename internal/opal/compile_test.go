@@ -117,3 +117,42 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+// TestDialAlternationCompilesEachVersionOnce: a session that switches its
+// time dial back and forth between two states in which a method differs
+// compiles each version once, not once per switch.
+func TestDialAlternationCompilesEachVersionOnce(t *testing.T) {
+	in := newInterp(t)
+	var times [2]oop.Time
+	for i, src := range []string{"Object subclass: 'Probe' instVarNames: #(). Probe compile: 'v ^1'", "Probe compile: 'v ^2'"} {
+		if _, err := in.Execute(src); err != nil {
+			t.Fatal(err)
+		}
+		tc, err := in.s.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		times[i] = tc
+	}
+	class, ok := in.s.Global("Probe")
+	if !ok {
+		t.Fatal("Probe is not defined")
+	}
+	compiled := map[*compiledMethod]bool{}
+	for i := 0; i < 100; i++ {
+		if err := in.s.SetTimeDial(times[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := in.ExecuteToString("Probe new v"); err != nil || got != strconv.Itoa(1+i%2) {
+			t.Fatalf("switch %d: Probe new v = %q (%v), want %d", i, got, err, 1+i%2)
+		}
+		e, err := in.lookup(class, "v", in.s.Symbol("v"))
+		if err != nil || e.method == nil {
+			t.Fatalf("switch %d: lookup of #v = %+v (%v)", i, e, err)
+		}
+		compiled[e.method] = true
+	}
+	if len(compiled) != 2 {
+		t.Errorf("100 dial switches between two versions of #v ran %d distinct compiles, want 2", len(compiled))
+	}
+}

@@ -28,7 +28,11 @@ func (in *Interp) checkConstraint(obj, name, value oop.OOP) error {
 		return nil
 	}
 	consSym := in.s.Symbol("constraints")
-	for c := in.classOf(obj); c.IsHeap(); {
+	objCls, err := in.classOf(obj)
+	if err != nil {
+		return err
+	}
+	for c := objCls; c.IsHeap(); {
 		cons, ok, err := in.s.Fetch(c, consSym)
 		if err != nil {
 			return err
@@ -42,12 +46,12 @@ func (in *Interp) checkConstraint(obj, name, value oop.OOP) error {
 				if value == oop.Nil {
 					return nil // nil is always storable (absent element)
 				}
-				if !in.valueIsKindOf(value, want) {
-					nameStr, _ := in.s.SymbolName(name)
-					return fmt.Errorf("opal: constraint violation: %s of %s must be a %s, not %s",
-						nameStr, in.classNameOf(obj), in.classNameOfClass(want), in.safePrint(value))
+				if ok, err := in.valueIsKindOf(value, want); err != nil || ok {
+					return err
 				}
-				return nil
+				nameStr, _ := in.s.SymbolName(name)
+				return fmt.Errorf("opal: constraint violation: %s of %s must be a %s, not %s",
+					nameStr, in.classNameOfClass(objCls), in.classNameOfClass(want), in.safePrint(value))
 			}
 		}
 		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
@@ -59,30 +63,35 @@ func (in *Interp) checkConstraint(obj, name, value oop.OOP) error {
 	return nil
 }
 
-func (in *Interp) valueIsKindOf(value, class oop.OOP) bool {
-	for c := in.classOf(value); c.IsHeap(); {
+func (in *Interp) valueIsKindOf(value, class oop.OOP) (bool, error) {
+	c, err := in.classOf(value)
+	for err == nil && c.IsHeap() {
 		if c == class {
-			return true
+			return true, nil
 		}
-		sup, _, err := in.s.Fetch(c, in.wk.Superclass)
-		if err != nil {
-			return false
-		}
-		c = sup
+		c, _, err = in.s.Fetch(c, in.wk.Superclass)
 	}
-	return false
+	return false, err
 }
 
 // installConstraintPrims registers the declaration protocol.
 func (in *Interp) installConstraintPrims() {
 	in.reg("Class", "constrain:to:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		name := a[0]
-		if s, ok := in.stringValue(name); ok {
+		s, ok, err := in.stringValue(name)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			name = in.s.Symbol(s)
 		} else if _, ok := in.s.SymbolName(name); !ok {
 			return oop.Invalid, fmt.Errorf("opal: constrain:to: needs an element name")
 		}
-		if in.s.ClassOf(a[1]) != in.s.DB().Kernel().Class {
+		is, err := in.isInstance(a[1], in.s.DB().Kernel().Class)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if !is {
 			return oop.Invalid, fmt.Errorf("opal: constrain:to: needs a class")
 		}
 		cons, ok, err := in.s.Fetch(r, in.s.Symbol("constraints"))
@@ -106,7 +115,11 @@ func (in *Interp) installConstraintPrims() {
 	})
 	in.reg("Class", "constraintOn:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		name := a[0]
-		if s, ok := in.stringValue(name); ok {
+		s, ok, err := in.stringValue(name)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			name = in.s.Symbol(s)
 		}
 		for c := r; c.IsHeap(); {

@@ -1040,7 +1040,8 @@ func TestSharedSegmentAndGrants(t *testing.T) {
 
 // An index plan needs the same read privilege on the set as a scan: Bob,
 // who cannot read Alice's set, is denied under every plan, and the index
-// leaks neither a count nor a row.
+// leaks neither a count nor a row. Nor does a send to one of Alice's
+// objects answer as if it were a plain Object: it is denied too.
 func TestIndexPlanKeepsReadPrivilege(t *testing.T) {
 	db, err := core.Open(t.TempDir(), core.Options{})
 	if err != nil {
@@ -1068,12 +1069,16 @@ func TestIndexPlanKeepsReadPrivilege(t *testing.T) {
 	if _, err := aIn.Execute(`| emps e |
 		emps := Set new. World at: #aemps put: emps.
 		1 to: 100 do: [:i | e := Dictionary new. e at: #salary put: i * 1000. emps add: e].
+		World at: #ax put: Object new.
 		System commitTransaction`); err != nil {
 		t.Fatal(err)
 	}
 	denied := [][2]string{
 		{"{ {E: e} where (e in World!aemps) and e!salary > 90000 } size", "error: access denied"},
 		{"{ {E: e} where (e in World!aemps) and e!salary = 42000 } size", "error: access denied"},
+		{"World!ax class", "error: access denied"},
+		{"World!ax isNil", "error: access denied"},
+		{"World!ax m", "error: access denied"},
 	}
 	evalCases(t, interp("bob", "b"), denied)
 	if _, err := aIn.Execute("World!aemps indexOn: 'salary'. System commitTransaction"); err != nil {

@@ -34,17 +34,22 @@ type num struct {
 	f       float64
 }
 
-func (in *Interp) asNum(v oop.OOP) (num, bool) {
+func (in *Interp) asNum(v oop.OOP) (num, bool, error) {
 	if v.IsSmallInt() {
-		return num{i: v.Int()}, true
+		return num{i: v.Int()}, true, nil
 	}
-	if v.IsHeap() && in.s.ClassOf(v) == in.s.DB().Kernel().Float {
-		f, err := in.s.FloatValue(v)
-		if err == nil {
-			return num{isFloat: true, f: f}, true
-		}
+	if !v.IsHeap() {
+		return num{}, false, nil
 	}
-	return num{}, false
+	cls, err := in.s.ClassOf(v)
+	if err != nil || cls != in.s.DB().Kernel().Float {
+		return num{}, false, err
+	}
+	f, err := in.s.FloatValue(v)
+	if err != nil {
+		return num{}, false, err
+	}
+	return num{isFloat: true, f: f}, true, nil
 }
 
 func (n num) float() float64 {
@@ -75,11 +80,17 @@ func negatedInt(i int64) (oop.OOP, error) {
 }
 
 func (in *Interp) numPrim(sel string, recv oop.OOP, args []oop.OOP) (oop.OOP, error) {
-	a, ok := in.asNum(recv)
+	a, ok, err := in.asNum(recv)
+	if err != nil {
+		return oop.Invalid, err
+	}
 	if !ok {
 		return oop.Invalid, fmt.Errorf("opal: %s is not a number", in.safePrint(recv))
 	}
-	b, ok := in.asNum(args[0])
+	b, ok, err := in.asNum(args[0])
+	if err != nil {
+		return oop.Invalid, err
+	}
 	if !ok {
 		return oop.Invalid, fmt.Errorf("opal: %s is not a number", in.safePrint(args[0]))
 	}
@@ -150,40 +161,80 @@ func floorDiv(a, b int64) int64 {
 
 // --- string helpers ---
 
-func (in *Interp) stringValue(v oop.OOP) (string, bool) {
+func (in *Interp) stringValue(v oop.OOP) (string, bool, error) {
 	if !v.IsHeap() {
-		return "", false
+		return "", false, nil
 	}
-	cls := in.s.ClassOf(v)
-	k := in.s.DB().Kernel()
-	if cls != k.String && cls != k.Symbol {
-		return "", false
+	cls, err := in.s.ClassOf(v)
+	if err != nil {
+		return "", false, err
+	}
+	if k := in.s.DB().Kernel(); cls != k.String && cls != k.Symbol {
+		return "", false, nil
 	}
 	b, err := in.s.BytesOf(v)
 	if err != nil {
-		return "", false
+		return "", false, err
 	}
-	return string(b), true
+	return string(b), true, nil
+}
+
+// mustString is v's contents if v is a String or Symbol, else notString.
+func (in *Interp) mustString(v oop.OOP, notString error) (string, error) {
+	s, ok, err := in.stringValue(v)
+	if err == nil && !ok {
+		err = notString
+	}
+	return s, err
+}
+
+// stringPrim adapts fn, a primitive over its String receiver's contents.
+func stringPrim(fn func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error)) primFn {
+	return func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
+		s, _, err := in.stringValue(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		return fn(in, r, s, a)
+	}
+}
+
+// numPrimOf adapts fn, a primitive over its Number receiver's value.
+func numPrimOf(fn func(in *Interp, r oop.OOP, n num, a []oop.OOP) (oop.OOP, error)) primFn {
+	return func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
+		n, _, err := in.asNum(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		return fn(in, r, n, a)
+	}
+}
+
+// isInstance reports whether v's class is exactly cls.
+func (in *Interp) isInstance(v, cls oop.OOP) (bool, error) {
+	c, err := in.s.ClassOf(v)
+	return err == nil && c == cls, err
 }
 
 // equalValues applies OPAL '=' semantics: numbers by value, strings and
 // symbols by contents, characters by code point, everything else identity.
-func (in *Interp) equalValues(a, b oop.OOP) bool {
+func (in *Interp) equalValues(a, b oop.OOP) (bool, error) {
 	if a == b {
-		return true
+		return true, nil
 	}
-	if an, ok := in.asNum(a); ok {
-		if bn, ok := in.asNum(b); ok {
-			return an.float() == bn.float()
+	if an, ok, err := in.asNum(a); err != nil || ok {
+		if err != nil {
+			return false, err
 		}
-		return false
+		bn, ok, err := in.asNum(b)
+		return ok && an.float() == bn.float(), err
 	}
-	if as, ok := in.stringValue(a); ok {
-		if bs, ok := in.stringValue(b); ok {
-			return as == bs
-		}
+	as, ok, err := in.stringValue(a)
+	if err != nil || !ok {
+		return false, err
 	}
-	return false
+	bs, ok, err := in.stringValue(b)
+	return ok && as == bs, err
 }
 
 // --- collection helpers ---
@@ -282,10 +333,12 @@ func (in *Interp) installPrimitives() {
 		return oop.FromBool(r != a[0]), nil
 	})
 	in.reg("Object", "=", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		return oop.FromBool(in.equalValues(r, a[0])), nil
+		eq, err := in.equalValues(r, a[0])
+		return oop.FromBool(eq), err
 	})
 	in.reg("Object", "~=", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		return oop.FromBool(!in.equalValues(r, a[0])), nil
+		eq, err := in.equalValues(r, a[0])
+		return oop.FromBool(!eq), err
 	})
 	in.reg("Object", "isNil", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		return oop.FromBool(r == oop.Nil), nil
@@ -294,7 +347,7 @@ func (in *Interp) installPrimitives() {
 		return oop.FromBool(r != oop.Nil), nil
 	})
 	in.reg("Object", "class", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		return in.classOf(r), nil
+		return in.classOf(r)
 	})
 	in.reg("Object", "yourself", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		return r, nil
@@ -310,7 +363,10 @@ func (in *Interp) installPrimitives() {
 		return in.s.NewString(s)
 	})
 	in.reg("Object", "error:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		msg, _ := in.stringValue(a[0])
+		msg, _, err := in.stringValue(a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
 		return oop.Invalid, fmt.Errorf("opal: error: %s", msg)
 	})
 	in.reg("Object", "->", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -327,31 +383,31 @@ func (in *Interp) installPrimitives() {
 		return assoc, nil
 	})
 	in.reg("Object", "isKindOf:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		for c := in.classOf(r); c.IsHeap(); {
-			if c == a[0] {
-				return oop.True, nil
-			}
-			sup, _, err := in.s.Fetch(c, in.wk.Superclass)
-			if err != nil {
-				return oop.Invalid, err
-			}
-			c = sup
-		}
-		return oop.False, nil
+		ok, err := in.valueIsKindOf(r, a[0])
+		return oop.FromBool(ok), err
 	})
 	in.reg("Object", "isMemberOf:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		return oop.FromBool(in.classOf(r) == a[0]), nil
+		c, err := in.classOf(r)
+		return oop.FromBool(c == a[0]), err
 	})
 	in.reg("Object", "respondsTo:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		sel, ok := in.s.SymbolName(a[0])
 		if !ok {
-			if s, ok2 := in.stringValue(a[0]); ok2 {
+			s, ok2, err := in.stringValue(a[0])
+			if err != nil {
+				return oop.Invalid, err
+			}
+			if ok2 {
 				sel = s
 			} else {
 				return oop.False, nil
 			}
 		}
-		e, err := in.lookup(in.classOf(r), sel, in.s.Symbol(sel))
+		c, err := in.classOf(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		e, err := in.lookup(c, sel, in.s.Symbol(sel))
 		if err != nil {
 			return oop.Invalid, err
 		}
@@ -519,7 +575,10 @@ func (in *Interp) installPrimitives() {
 		})
 	}
 	in.reg("Number", "abs", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, ok := in.asNum(r)
+		n, ok, err := in.asNum(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
 		if !ok {
 			return oop.Invalid, fmt.Errorf("opal: abs on non-number")
 		}
@@ -531,22 +590,27 @@ func (in *Interp) installPrimitives() {
 		}
 		return r, nil
 	})
-	in.reg("Number", "negated", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, _ := in.asNum(r)
+	in.reg("Number", "negated", numPrimOf(func(in *Interp, r oop.OOP, n num, a []oop.OOP) (oop.OOP, error) {
 		if n.isFloat {
 			return in.s.NewFloat(-n.f)
 		}
 		return negatedInt(n.i)
-	})
+	}))
 	in.reg("Number", "asFloat", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, ok := in.asNum(r)
+		n, ok, err := in.asNum(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
 		if !ok {
 			return oop.Invalid, fmt.Errorf("opal: asFloat on non-number")
 		}
 		return in.s.NewFloat(n.float())
 	})
 	in.reg("Number", "asInteger", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, ok := in.asNum(r)
+		n, ok, err := in.asNum(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
 		if !ok {
 			return oop.Invalid, fmt.Errorf("opal: asInteger on non-number")
 		}
@@ -567,18 +631,15 @@ func (in *Interp) installPrimitives() {
 		}
 		return oop.FromChar(rune(r.Int())), nil
 	})
-	in.reg("Number", "sqrt", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, _ := in.asNum(r)
+	in.reg("Number", "sqrt", numPrimOf(func(in *Interp, r oop.OOP, n num, a []oop.OOP) (oop.OOP, error) {
 		return in.s.NewFloat(math.Sqrt(n.float()))
-	})
-	in.reg("Number", "even", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, _ := in.asNum(r)
+	}))
+	in.reg("Number", "even", numPrimOf(func(in *Interp, r oop.OOP, n num, a []oop.OOP) (oop.OOP, error) {
 		return oop.FromBool(!n.isFloat && n.i%2 == 0), nil
-	})
-	in.reg("Number", "odd", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		n, _ := in.asNum(r)
+	}))
+	in.reg("Number", "odd", numPrimOf(func(in *Interp, r oop.OOP, n num, a []oop.OOP) (oop.OOP, error) {
 		return oop.FromBool(!n.isFloat && n.i%2 != 0), nil
-	})
+	}))
 
 	// Character
 	in.reg("Character", "asInteger", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -597,8 +658,14 @@ func (in *Interp) installPrimitives() {
 	// String / Symbol
 	strCmp := func(sel string) primFn {
 		return func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-			rs, ok1 := in.stringValue(r)
-			as, ok2 := in.stringValue(a[0])
+			rs, ok1, err := in.stringValue(r)
+			if err != nil {
+				return oop.Invalid, err
+			}
+			as, ok2, err := in.stringValue(a[0])
+			if err != nil {
+				return oop.Invalid, err
+			}
 			if !ok1 || !ok2 {
 				return oop.Invalid, fmt.Errorf("opal: string comparison with non-string")
 			}
@@ -619,8 +686,14 @@ func (in *Interp) installPrimitives() {
 		in.reg("String", sel, strCmp(sel))
 	}
 	in.reg("String", ",", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		rs, ok1 := in.stringValue(r)
-		as, ok2 := in.stringValue(a[0])
+		rs, ok1, err := in.stringValue(r)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		as, ok2, err := in.stringValue(a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
 		if !ok2 {
 			as = in.safePrint(a[0])
 		}
@@ -629,23 +702,19 @@ func (in *Interp) installPrimitives() {
 		}
 		return in.s.NewString(rs + as)
 	})
-	in.reg("String", "size", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	in.reg("String", "size", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		return oop.MustInt(int64(len(s))), nil
-	})
-	in.reg("String", "isEmpty", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "isEmpty", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		return oop.FromBool(len(s) == 0), nil
-	})
-	in.reg("String", "at:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "at:", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		if !a[0].IsSmallInt() || a[0].Int() < 1 || a[0].Int() > int64(len(s)) {
 			return oop.Invalid, fmt.Errorf("opal: string index out of bounds")
 		}
 		return oop.FromChar(rune(s[a[0].Int()-1])), nil
-	})
-	in.reg("String", "at:put:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "at:put:", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		if !a[0].IsSmallInt() || a[0].Int() < 1 || a[0].Int() > int64(len(s)) {
 			return oop.Invalid, fmt.Errorf("opal: string index out of bounds")
 		}
@@ -658,9 +727,8 @@ func (in *Interp) installPrimitives() {
 			return oop.Invalid, err
 		}
 		return a[1], nil
-	})
-	in.reg("String", "copyFrom:to:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "copyFrom:to:", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		if !a[0].IsSmallInt() || !a[1].IsSmallInt() {
 			return oop.Invalid, fmt.Errorf("opal: copyFrom:to: needs integers")
 		}
@@ -669,36 +737,34 @@ func (in *Interp) installPrimitives() {
 			return oop.Invalid, fmt.Errorf("opal: copyFrom:to: out of bounds")
 		}
 		return in.s.NewString(s[from-1 : to])
-	})
-	in.reg("String", "asSymbol", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "asSymbol", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		return in.s.Symbol(s), nil
-	})
-	in.reg("String", "asString", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
-		if in.s.ClassOf(r) == in.s.DB().Kernel().Symbol {
+	}))
+	in.reg("String", "asString", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
+		is, err := in.isInstance(r, in.s.DB().Kernel().Symbol)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if is {
 			return in.s.NewString(s)
 		}
 		return r, nil
-	})
-	in.reg("String", "asUppercase", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "asUppercase", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		return in.s.NewString(strings.ToUpper(s))
-	})
-	in.reg("String", "asLowercase", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "asLowercase", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		return in.s.NewString(strings.ToLower(s))
-	})
-	in.reg("String", "includesString:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		rs, _ := in.stringValue(r)
-		as, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: includesString: needs a string")
+	}))
+	in.reg("String", "includesString:", stringPrim(func(in *Interp, r oop.OOP, rs string, a []oop.OOP) (oop.OOP, error) {
+		as, err := in.mustString(a[0], fmt.Errorf("opal: includesString: needs a string"))
+		if err != nil {
+			return oop.Invalid, err
 		}
 		return oop.FromBool(strings.Contains(rs, as)), nil
-	})
-	in.reg("String", "do:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		s, _ := in.stringValue(r)
+	}))
+	in.reg("String", "do:", stringPrim(func(in *Interp, r oop.OOP, s string, a []oop.OOP) (oop.OOP, error) {
 		cl, err := in.mustBlock(a[0])
 		if err != nil {
 			return oop.Invalid, err
@@ -709,7 +775,7 @@ func (in *Interp) installPrimitives() {
 			}
 		}
 		return r, nil
-	})
+	}))
 
 	// Class (class-side behavior; classes are instances of Class)
 	in.reg("Class", "new", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
@@ -740,9 +806,9 @@ func (in *Interp) installPrimitives() {
 		return r, nil
 	})
 	subclassPrim := func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		name, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: subclass name must be a string")
+		name, err := in.mustString(a[0], fmt.Errorf("opal: subclass name must be a string"))
+		if err != nil {
+			return oop.Invalid, err
 		}
 		var ivars []string
 		if len(a) > 1 && a[1] != oop.Nil {
@@ -751,7 +817,10 @@ func (in *Interp) installPrimitives() {
 				return oop.Invalid, err
 			}
 			for _, v := range vals {
-				s, ok := in.stringValue(v)
+				s, ok, err := in.stringValue(v)
+				if err != nil {
+					return oop.Invalid, err
+				}
 				if !ok {
 					if sym, ok2 := in.s.SymbolName(v); ok2 {
 						s = sym
@@ -779,9 +848,9 @@ func (in *Interp) installPrimitives() {
 		return cls, nil
 	})
 	in.reg("Class", "compile:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		src, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: compile: needs method source")
+		src, err := in.mustString(a[0], fmt.Errorf("opal: compile: needs method source"))
+		if err != nil {
+			return oop.Invalid, err
 		}
 		return in.defineMethod(r, src)
 	})
@@ -860,7 +929,11 @@ func (in *Interp) instantiate(class oop.OOP, size int64) (oop.OOP, error) {
 func (in *Interp) defineClass(name string, super oop.OOP, ivars []string) (oop.OOP, error) {
 	if existing, ok := in.s.Global(name); ok {
 		// Redefinition: keep identity, update superclass and ivars.
-		if in.s.ClassOf(existing) != in.s.DB().Kernel().Class {
+		is, err := in.isInstance(existing, in.s.DB().Kernel().Class)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if !is {
 			return oop.Invalid, fmt.Errorf("opal: global %q is not a class", name)
 		}
 		if err := in.s.Store(existing, in.wk.Superclass, super); err != nil {
@@ -875,7 +948,7 @@ func (in *Interp) defineClass(name string, super oop.OOP, ivars []string) (oop.O
 		}
 		// Instance-variable offsets changed under unchanged sources: no
 		// compiled method or lookup of this interpreter survives.
-		in.cache = make(map[cacheKey]*cacheEntry)
+		clear(in.cache)
 		clear(in.dispatch)
 		return existing, nil
 	}

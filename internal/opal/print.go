@@ -54,7 +54,11 @@ func (in *Interp) printValue(v oop.OOP, depth int) (string, error) {
 // userPrintString invokes a printString METHOD (not the primitive) if a
 // send of printString to v would run one.
 func (in *Interp) userPrintString(v oop.OOP) (string, bool, error) {
-	e, err := in.lookup(in.classOf(v), "printString", in.s.Symbol("printString"))
+	cls, err := in.classOf(v)
+	if err != nil {
+		return "", false, err
+	}
+	e, err := in.lookup(cls, "printString", in.s.Symbol("printString"))
 	if err != nil || e.method == nil {
 		return "", false, err
 	}
@@ -62,22 +66,26 @@ func (in *Interp) userPrintString(v oop.OOP) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
-	if s, ok := in.stringValue(res); ok {
-		return s, true, nil
+	s, ok, err := in.stringValue(res)
+	if err != nil || ok {
+		return s, ok, err
 	}
 	return "", false, fmt.Errorf("opal: printString returned a non-string")
 }
 
 func (in *Interp) structuralPrint(v oop.OOP, depth int) (string, error) {
 	k := in.s.DB().Kernel()
-	cls := in.s.ClassOf(v)
+	cls, err := in.s.ClassOf(v)
+	if err != nil {
+		return "", err
+	}
 	switch cls {
 	case k.String:
-		s, _ := in.stringValue(v)
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'", nil
+		s, _, err := in.stringValue(v)
+		return "'" + strings.ReplaceAll(s, "'", "''") + "'", err
 	case k.Symbol:
-		s, _ := in.stringValue(v)
-		return "#" + s, nil
+		s, _, err := in.stringValue(v)
+		return "#" + s, err
 	case k.Float:
 		f, err := in.s.FloatValue(v)
 		if err != nil {

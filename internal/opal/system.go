@@ -78,18 +78,18 @@ func selectorArity(sel string) int {
 // installReflectionPrims adds perform:-style reflective dispatch and the
 // sorting primitive backing asSortedCollection:.
 func (in *Interp) installReflectionPrims() {
-	selOf := func(v oop.OOP) (string, bool) {
+	selOf := func(v oop.OOP) (string, bool, error) {
 		if s, ok := in.s.SymbolName(v); ok {
-			return s, true
+			return s, true, nil
 		}
-		if s, ok := in.stringValue(v); ok {
-			return s, true
-		}
-		return "", false
+		return in.stringValue(v)
 	}
 	perform := func(n int) primFn {
 		return func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-			sel, ok := selOf(a[0])
+			sel, ok, err := selOf(a[0])
+			if err != nil {
+				return oop.Invalid, err
+			}
 			if !ok {
 				return oop.Invalid, fmt.Errorf("opal: perform: needs a selector")
 			}
@@ -161,7 +161,11 @@ func (in *Interp) installHistoryPrims() {
 	// associations, oldest first, committed states only.
 	in.reg("Object", "historyOf:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		name := a[0]
-		if s, ok := in.stringValue(name); ok {
+		s, ok, err := in.stringValue(name)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			name = in.s.Symbol(s)
 		}
 		hist, err := in.s.History(r, name)
@@ -194,7 +198,11 @@ func (in *Interp) installHistoryPrims() {
 	// obj changedTimesOf: #salary -> Array of transaction times.
 	in.reg("Object", "changedTimesOf:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
 		name := a[0]
-		if s, ok := in.stringValue(name); ok {
+		s, ok, err := in.stringValue(name)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			name = in.s.Symbol(s)
 		}
 		hist, err := in.s.History(r, name)
@@ -260,23 +268,23 @@ func (in *Interp) installSystemPrims() {
 		return in.s.NewString(in.s.User())
 	})
 	in.reg("SystemAccess", "query:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		src, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: query: needs a string")
+		src, err := in.mustString(a[0], fmt.Errorf("opal: query: needs a string"))
+		if err != nil {
+			return oop.Invalid, err
 		}
 		return in.runQuery(src, false)
 	})
 	in.reg("SystemAccess", "queryNaive:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		src, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: queryNaive: needs a string")
+		src, err := in.mustString(a[0], fmt.Errorf("opal: queryNaive: needs a string"))
+		if err != nil {
+			return oop.Invalid, err
 		}
 		return in.runQuery(src, true)
 	})
 	in.reg("SystemAccess", "explain:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		src, ok := in.stringValue(a[0])
-		if !ok {
-			return oop.Invalid, fmt.Errorf("opal: explain: needs a string")
+		src, err := in.mustString(a[0], fmt.Errorf("opal: explain: needs a string"))
+		if err != nil {
+			return oop.Invalid, err
 		}
 		plan, err := in.explainQuery(src)
 		if err != nil {
@@ -285,8 +293,14 @@ func (in *Interp) installSystemPrims() {
 		return in.s.NewString(plan)
 	})
 	in.reg("SystemAccess", "createUser:password:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		name, ok1 := in.stringValue(a[0])
-		pw, ok2 := in.stringValue(a[1])
+		name, ok1, err := in.stringValue(a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
+		pw, ok2, err := in.stringValue(a[1])
+		if err != nil {
+			return oop.Invalid, err
+		}
 		if !ok1 || !ok2 {
 			return oop.Invalid, fmt.Errorf("opal: createUser:password: needs strings")
 		}
@@ -299,7 +313,11 @@ func (in *Interp) installSystemPrims() {
 	// System newShared: aClass — instantiate in the published (world-
 	// writable) segment so other users can read and update the object.
 	in.reg("SystemAccess", "newShared:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		if in.s.ClassOf(a[0]) != in.s.DB().Kernel().Class {
+		is, err := in.isInstance(a[0], in.s.DB().Kernel().Class)
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if !is {
 			return oop.Invalid, fmt.Errorf("opal: newShared: needs a class")
 		}
 		o, err := in.s.NewSharedObject(a[0])
@@ -318,8 +336,14 @@ func (in *Interp) installSystemPrims() {
 	// System grantTo: 'user' privilege: 'read'|'write'|'none' — on the
 	// session user's home segment.
 	in.reg("SystemAccess", "grantTo:privilege:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		user, ok1 := in.stringValue(a[0])
-		priv, ok2 := in.stringValue(a[1])
+		user, ok1, err := in.stringValue(a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
+		priv, ok2, err := in.stringValue(a[1])
+		if err != nil {
+			return oop.Invalid, err
+		}
 		if !ok1 || !ok2 {
 			return oop.Invalid, fmt.Errorf("opal: grantTo:privilege: needs strings")
 		}
@@ -342,7 +366,11 @@ func (in *Interp) installSystemPrims() {
 
 	// Transcript
 	in.reg("TranscriptStream", "show:", func(in *Interp, r oop.OOP, a []oop.OOP) (oop.OOP, error) {
-		if s, ok := in.stringValue(a[0]); ok {
+		s, ok, err := in.stringValue(a[0])
+		if err != nil {
+			return oop.Invalid, err
+		}
+		if ok {
 			in.out.WriteString(s)
 		} else {
 			in.out.WriteString(in.safePrint(a[0]))

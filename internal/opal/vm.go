@@ -51,7 +51,7 @@ type Interp struct {
 	out strings.Builder // Transcript output
 
 	prims     map[primKey]primFn
-	cache     map[cacheKey]*cacheEntry
+	cache     map[cacheKey]*compiledMethod
 	dispatch  map[dispatchKey]dispatchEntry
 	wk        core.ClassSymbols
 	blocks    map[uint64]*closure // the current request's closures
@@ -72,14 +72,14 @@ type primKey struct {
 	selector string
 }
 
+// cacheKey is one compile: a method source, by identity, compiled for a
+// class (whose instance variables fix its offsets) under a selector.
+// compile: stores a new source string, so every version of a method that
+// the session's reads reach — now, or at a dialled past time — keeps its
+// own compile.
 type cacheKey struct {
-	class    uint64
-	selector string
-}
-
-type cacheEntry struct {
-	srcOOP   oop.OOP // identity of the source string the compile came from
-	compiled *compiledMethod
+	class, src uint64
+	selector   string
 }
 
 // dispatchKey is one method lookup: a selector's symbol sent to a class.
@@ -103,7 +103,7 @@ func NewInterp(s *core.Session) (*Interp, error) {
 	in := &Interp{
 		s:         s,
 		prims:     make(map[primKey]primFn),
-		cache:     make(map[cacheKey]*cacheEntry),
+		cache:     make(map[cacheKey]*compiledMethod),
 		dispatch:  make(map[dispatchKey]dispatchEntry),
 		wk:        s.DB().ClassSymbols(),
 		blocks:    make(map[uint64]*closure),
@@ -317,19 +317,27 @@ func (in *Interp) blockFor(o oop.OOP) (*closure, bool) {
 
 // send sends the message sel names, whose OOP it caches, to recv.
 func (in *Interp) send(recv oop.OOP, sel *symCell, args []oop.OOP) (oop.OOP, error) {
-	return in.sendToClass(recv, in.classOf(recv), sel.name, sel.get(in), args)
+	class, err := in.classOf(recv)
+	if err != nil {
+		return oop.Invalid, err
+	}
+	return in.sendToClass(recv, class, sel.name, sel.get(in), args)
 }
 
 // Send dispatches a message from Go.
 func (in *Interp) Send(recv oop.OOP, selector string, args ...oop.OOP) (oop.OOP, error) {
-	return in.sendToClass(recv, in.classOf(recv), selector, in.s.Symbol(selector), args)
+	class, err := in.classOf(recv)
+	if err != nil {
+		return oop.Invalid, err
+	}
+	return in.sendToClass(recv, class, selector, in.s.Symbol(selector), args)
 }
 
 // classOf resolves the class of any value, including VM-transient blocks.
-func (in *Interp) classOf(v oop.OOP) oop.OOP {
+func (in *Interp) classOf(v oop.OOP) (oop.OOP, error) {
 	if v.IsHeap() && v.Serial() >= transientBase {
 		if _, ok := in.blocks[v.Serial()]; ok {
-			return in.s.DB().Kernel().Block
+			return in.s.DB().Kernel().Block, nil
 		}
 	}
 	return in.s.ClassOf(v)
@@ -350,7 +358,11 @@ func (in *Interp) sendToClass(recv, class oop.OOP, selector string, sel oop.OOP,
 	case e.prim != nil:
 		return e.prim(in, recv, args)
 	}
-	return oop.Invalid, fmt.Errorf("opal: %s doesNotUnderstand: #%s", in.classNameOf(recv), selector)
+	name, err := in.classNameOf(recv)
+	if err != nil {
+		return oop.Invalid, err
+	}
+	return oop.Invalid, fmt.Errorf("opal: %s doesNotUnderstand: #%s", name, selector)
 }
 
 // lookup finds what a send of selector (whose symbol is sel) to an
@@ -403,9 +415,9 @@ func (in *Interp) methodIn(class, dictOOP oop.OOP, selector string, sel oop.OOP)
 	if err != nil || !ok || srcOOP == oop.Nil {
 		return nil, err
 	}
-	key := cacheKey{class: class.Serial(), selector: selector}
-	if e, hit := in.cache[key]; hit && e.srcOOP == srcOOP {
-		return e.compiled, nil
+	key := cacheKey{class: class.Serial(), src: srcOOP.Serial(), selector: selector}
+	if m, hit := in.cache[key]; hit {
+		return m, nil
 	}
 	srcBytes, err := in.s.BytesOf(srcOOP)
 	if err != nil {
@@ -417,7 +429,7 @@ func (in *Interp) methodIn(class, dictOOP oop.OOP, selector string, sel oop.OOP)
 	}
 	ast, err := parseMethod(string(srcBytes))
 	if err != nil {
-		return nil, fmt.Errorf("opal: in %s>>%s: %w", in.classNameOf(class), selector, err)
+		return nil, fmt.Errorf("opal: in %s>>%s: %w", in.classNameOfClass(class), selector, err)
 	}
 	if ast.selector != selector {
 		return nil, fmt.Errorf("opal: method stored under #%s has pattern #%s", selector, ast.selector)
@@ -426,7 +438,7 @@ func (in *Interp) methodIn(class, dictOOP oop.OOP, selector string, sel oop.OOP)
 	if err != nil {
 		return nil, err
 	}
-	in.cache[key] = &cacheEntry{srcOOP: srcOOP, compiled: m}
+	in.cache[key] = m
 	return m, nil
 }
 
@@ -463,9 +475,12 @@ func (in *Interp) allInstVarNames(class oop.OOP) ([]string, error) {
 	return names, nil
 }
 
-func (in *Interp) classNameOf(v oop.OOP) string {
-	cls := in.s.ClassOf(v)
-	return in.classNameOfClass(cls)
+func (in *Interp) classNameOf(v oop.OOP) (string, error) {
+	cls, err := in.classOf(v)
+	if err != nil {
+		return "", err
+	}
+	return in.classNameOfClass(cls), nil
 }
 
 func (in *Interp) classNameOfClass(cls oop.OOP) string {
