@@ -340,7 +340,8 @@ func (s *Session) modifiable(obj oop.OOP) (*object.Object, error) {
 }
 
 // promote attaches a transient object (and, transitively, every transient
-// it references) to the persistent workspace so it will be committed.
+// it references, its class included) to the persistent workspace so it
+// will be committed.
 func (s *Session) promote(v oop.OOP) {
 	if !v.IsHeap() {
 		return
@@ -353,6 +354,7 @@ func (s *Session) promote(v oop.OOP) {
 	s.ws[v.Serial()] = ob
 	s.writes[v] = struct{}{}
 	s.promoted[v.Serial()] = ob
+	s.promote(ob.Class)
 	for _, el := range ob.Elements() {
 		for _, a := range el.Hist {
 			s.promote(a.Value)

@@ -95,9 +95,9 @@ func TestSerialTableUnderConcurrentPublish(t *testing.T) {
 }
 
 // TestDropTransientsKeepsWhatTheWorkspaceReaches: the roots are the
-// workspace's pending values. An instance promoted into the workspace keeps
-// its transient class, and the class's transient method dictionary, alive;
-// everything else goes, and a dropped transient no longer reads.
+// workspace's pending values. An instance promoted into the workspace takes
+// its transient class, and the class's transient method dictionary, with
+// it; everything else goes, and a dropped transient no longer reads.
 func TestDropTransientsKeepsWhatTheWorkspaceReaches(t *testing.T) {
 	db := openDB(t)
 	s := sysSession(t, db)
@@ -120,8 +120,10 @@ func TestDropTransientsKeepsWhatTheWorkspaceReaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.DropTransients()
-	if n := s.Transients(); n != 2 {
-		t.Errorf("after the drop %d transients remain, want 2 (the class and its dictionary)", n)
+	// Storing inst into World promoted its class and the class's dictionary
+	// with it, so only the garbage string was left to drop.
+	if n := s.Transients(); n != 0 {
+		t.Errorf("after the drop %d transients remain, want 0 (the class and its dictionary went to the workspace with inst)", n)
 	}
 	if got, err := s.ClassOf(inst); err != nil || got != class {
 		t.Errorf("ClassOf(inst) = %v (%v), want %v", got, err, class)
@@ -133,5 +135,46 @@ func TestDropTransientsKeepsWhatTheWorkspaceReaches(t *testing.T) {
 	s.DropTransients()
 	if n := s.Transients(); n != 0 {
 		t.Errorf("after an abort and a drop %d transients remain, want 0", n)
+	}
+}
+
+// TestCommitWritesATransientClass: an instance of a class object that is
+// still a transient commits its class with it, so another session can read
+// the class (and what the class reaches) through the instance.
+func TestCommitWritesATransientClass(t *testing.T) {
+	db := openDB(t)
+	s := sysSession(t, db)
+	k := db.Kernel()
+	class, err := s.NewObject(k.Class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, _ := s.NewObject(k.Dictionary)
+	if err := s.Store(class, db.wk.methods, dict); err != nil {
+		t.Fatal(err)
+	}
+	inst, _ := s.NewObject(class)
+	world, ok := s.Global("World")
+	if !ok {
+		t.Fatal("no World")
+	}
+	if err := s.Store(world, s.Symbol("inst"), inst); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := sysSession(t, db)
+	got, ok, err := s2.Fetch(world, s2.Symbol("inst"))
+	if err != nil || !ok || got != inst {
+		t.Fatalf("World at: #inst = %v, %v, %v; want %v", got, ok, err, inst)
+	}
+	cls, err := s2.ClassOf(inst)
+	if err != nil || cls != class {
+		t.Fatalf("ClassOf(inst) = %v (%v), want %v", cls, err, class)
+	}
+	methods, ok, err := s2.Fetch(cls, db.wk.methods)
+	if err != nil || !ok || methods != dict {
+		t.Errorf("class methods from a second session = %v, %v, %v; want %v", methods, ok, err, dict)
 	}
 }

@@ -204,6 +204,53 @@ func (tm *TrackManager) ReadTrackReplica(ri int, n uint32) ([]byte, error) {
 	return buf[trackHeaderLen:], nil
 }
 
+// groupHolders returns the arms among holders (ascending) on which the
+// commit group in tracks [first, end) checks out against sum. On each arm
+// every track is folded from that arm's own copy. A copy that fails its own
+// track checksum is media damage, not evidence about the group: its
+// checksum comes from the first other holder whose copy passes, and
+// read-repair or scrub heals the damaged copy later. An arm whose fold
+// differs drops out, and the rest are refolded without it, so every track
+// of a group that checks out has a passing copy on an arm that keeps it.
+func (tm *TrackManager) groupHolders(holders []int, first, end, sum uint32) []int {
+	for {
+		var kept []int
+		for _, ri := range holders {
+			if got, ok := tm.groupSumOn(ri, holders, first, end); ok && got == sum {
+				kept = append(kept, ri)
+			}
+		}
+		if len(kept) == len(holders) {
+			return kept
+		}
+		holders = kept
+	}
+}
+
+// groupSumOn folds the checksum of tracks [first, end) as arm ri holds
+// them, borrowing from peers where ri's copy fails its own checksum. ok is
+// false when some track has no passing copy on ri or any peer.
+func (tm *TrackManager) groupSumOn(ri int, peers []int, first, end uint32) (sum uint32, ok bool) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	g := groupSum{first: first, next: first}
+	buf := make([]byte, tm.trackSize)
+	for n := first; n < end; n++ {
+		passed := tm.readRawLocked(ri, n, buf) == nil
+		for _, peer := range peers {
+			if passed {
+				break
+			}
+			passed = peer != ri && tm.readRawLocked(peer, n, buf) == nil
+		}
+		if !passed {
+			return 0, false
+		}
+		g.fold(getU32(buf[0:]))
+	}
+	return g.sum, true
+}
+
 // ScrubResult summarizes one scrub pass.
 type ScrubResult struct {
 	Scanned  uint64 // tracks examined

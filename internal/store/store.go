@@ -7,10 +7,17 @@
 // Commits are shadow-paged: data tracks, object-table pages and the table
 // directory are always written to freshly allocated tracks, and the commit
 // becomes visible only when the alternate superblock — carrying the new
-// epoch, table directory location, root, transaction time and serial
-// high-water — is written. A crash at any earlier point leaves the previous
-// superblock, and therefore the previous database state, fully intact:
-// "all the tracks in the group get written, or none get written" (§6).
+// epoch, table directory location, root, transaction time, serial
+// high-water and the group checksum — is written. A commit group costs one
+// Sync per arm: the group's tracks and its superblock are written, then
+// flushed together. The superblock vouches for its group by checksum (a
+// CRC-32 over the header checksums of every track of the group), so
+// recovery accepts a superblock only on an arm where the whole group it
+// names checks out, and falls back to the other slot otherwise. That slot
+// holds the previous group, whose one Sync returned before this group
+// wrote anything. A crash at any point therefore leaves the previous
+// database state or the new one, never a mix: "all the tracks in the group
+// get written, or none get written" (§6).
 package store
 
 import (
@@ -100,7 +107,7 @@ var ErrCrashed = errors.New("store: simulated crash")
 
 // Store is the persistent object repository.
 type Store struct {
-	mu    sync.Mutex // guards meta, super, pageTracks, pageCache, archive, dirTrackPending
+	mu    sync.Mutex // guards meta, super, pageTracks, pageCache, archive, dirTrackPending, group
 	tm    *TrackManager
 	opts  Options
 	meta  Meta
@@ -110,6 +117,7 @@ type Store struct {
 	pageCache       map[int][]Locator // parsed object-table pages
 	archive         map[uint64][]byte // offline media simulation: serial -> record
 	dirTrackPending uint32            // directory chain head for the superblock being written
+	group           groupSum          // the commit group the superblock being written vouches for
 	entriesPerPage  int
 
 	scratch  applyScratch // commit-path slabs, reused across Applies under mu
@@ -245,25 +253,49 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // initialize lays out a fresh database: two superblock tracks and an empty
-// table.
+// table. Its commit group is empty.
 func (s *Store) initializeLocked() error {
 	s.tm.Allocate(2) // tracks 0 and 1: the alternating superblock slots
 	s.meta = Meta{Epoch: 1, LastTime: 0, NextSerial: 1, Root: oop.Invalid}
+	s.group = groupSum{first: 2, next: 2}
 	s.super = 1 // epoch 1 goes to slot 0; writeSuper flips from s.super
-	if err := s.writeSuperblockLocked(); err != nil {
-		return err
-	}
-	return s.tm.Sync()
+	return s.writeSuperblockLocked()
+}
+
+// groupSum is a commit group's checksum: CRC-32 over the 4-byte header
+// checksums of the group's tracks [first, next), folded in ascending track
+// order. The group is contiguous because Allocate is a bump allocator and
+// Apply runs under Store.mu; debris from an earlier failed Apply sits below
+// first. writeGroupRun folds each track as it encodes it, and recovery
+// refolds the group from the tracks on disk (TrackManager.groupSumOn).
+type groupSum struct {
+	first uint32
+	next  uint32 // one past the last folded track
+	sum   uint32
+	buf   [4]byte // fold's input; a local array would escape to the heap through crc32.Update
+}
+
+func (g *groupSum) fold(trackSum uint32) {
+	putU32(g.buf[:], trackSum)
+	g.sum = crc32.Update(g.sum, crc32.IEEETable, g.buf[:])
+	g.next++
 }
 
 // Superblock payload layout:
 //
-//	crcLen-prefixed region:
 //	magic u32 | epoch u64 | lastTime u64 | nextSerial u64 | root u64 |
-//	nTracks u32 | nPages u32 | dirTrack u32 (first directory track; 0 none)
-//	| crc u32 at fixed tail of region
-const superMagic = 0x50555347                          // "GSUP"
-const superLen = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 // ... + trackSize + crc
+//	nTracks u32 | nPages u32 | dirTrack u32 (first directory track; 0 none) |
+//	trackSize u32 | groupFirst u32 | groupSum u32 | crc u32 (over the rest)
+//
+// The commit group is the tracks [groupFirst, nTracks).
+const superMagic = 0x32555347 // "GSU2"
+
+// superMagicUngrouped marks the earlier layout, which had no group fields
+// and relied on a Sync before the superblock write. It is recognised only
+// to refuse it by name.
+const superMagicUngrouped = 0x50555347 // "GSUP"
+
+const superLen = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 4
 
 func (s *Store) encodeSuperblockLocked() []byte {
 	// The returned buffer is the reusable superblock slab: WriteTrack copies
@@ -286,11 +318,19 @@ func (s *Store) encodeSuperblockLocked() []byte {
 	}
 	putU32(b[44:], dirTrack)
 	putU32(b[48:], uint32(s.opts.TrackSize))
-	putU32(b[52:], crc32.ChecksumIEEE(b[:52]))
+	putU32(b[52:], s.group.first)
+	putU32(b[56:], s.group.sum)
+	putU32(b[60:], crc32.ChecksumIEEE(b[:60]))
 	return b
 }
 
+// writeSuperblockLocked writes the alternate superblock slot and syncs:
+// that one Sync makes the superblock and every track of its commit group
+// durable together.
 func (s *Store) writeSuperblockLocked() error {
+	if n := s.tm.Tracks(); s.group.next != n {
+		return fmt.Errorf("store: commit group ends at track %d, allocation at %d", s.group.next, n)
+	}
 	slot := 1 - s.super // alternate
 	if err := s.tm.WriteTrack(slot, s.encodeSuperblockLocked()); err != nil {
 		return err
@@ -303,51 +343,68 @@ func (s *Store) writeSuperblockLocked() error {
 }
 
 type superblock struct {
-	meta     Meta
-	nTracks  uint32
-	nPages   uint32
-	dirTrack uint32
-	slot     uint32
+	meta       Meta
+	nTracks    uint32
+	nPages     uint32
+	dirTrack   uint32
+	groupFirst uint32
+	groupSum   uint32
+	slot       uint32
 }
 
 func parseSuperblock(b []byte, slot uint32) (superblock, bool) {
 	if len(b) < superLen || getU32(b[0:]) != superMagic {
 		return superblock{}, false
 	}
-	if crc32.ChecksumIEEE(b[:52]) != getU32(b[52:]) {
+	if crc32.ChecksumIEEE(b[:60]) != getU32(b[60:]) {
 		return superblock{}, false
 	}
-	return superblock{
+	sb := superblock{
 		meta: Meta{
 			Epoch:      getU64(b[4:]),
 			LastTime:   oop.Time(getU64(b[12:])),
 			NextSerial: getU64(b[20:]),
 			Root:       oop.OOP(getU64(b[28:])),
 		},
-		nTracks:  getU32(b[36:]),
-		nPages:   getU32(b[40:]),
-		dirTrack: getU32(b[44:]),
-		slot:     slot,
-	}, true
+		nTracks:    getU32(b[36:]),
+		nPages:     getU32(b[40:]),
+		dirTrack:   getU32(b[44:]),
+		groupFirst: getU32(b[52:]),
+		groupSum:   getU32(b[56:]),
+		slot:       slot,
+	}
+	return sb, sb.groupFirst <= sb.nTracks
 }
 
-// recover selects the newest valid superblock and rebuilds the table
-// directory from it. This is the entire crash-recovery procedure: shadow
-// paging means there is no log to replay.
+// recover selects the newest superblock whose commit group checks out and
+// rebuilds the table directory from it. This is the entire crash-recovery
+// procedure: shadow paging means there is no log to replay.
 //
-// Both slots of EVERY arm are consulted, not just the first arm that
-// parses: an arm that sat degraded while commits continued holds a stale
-// superblock whose tracks still carry valid checksums, so letting arm 0
-// answer first could silently roll the database back. The highest epoch
-// anywhere wins, and any arm whose own best superblock lags it is
-// degraded on the spot — its checksums cannot be trusted to mean
-// "current", only Rebuild reinstates it.
+// Both slots of EVERY arm are consulted, newest epoch first, and a
+// superblock counts on an arm only if the group it names checks out on
+// that arm (groupHolders). One Sync makes a group and its superblock
+// durable together, so a crash can leave a superblock whose group is only
+// partly on disk; the other slot then holds the previous group, durable
+// since its own Sync returned, and recovery falls back to it. An arm that
+// sat degraded while commits continued holds a stale superblock whose
+// tracks still carry valid checksums, so letting arm 0 answer first could
+// silently roll the database back. The newest superblock that checks out
+// anywhere wins, and every arm on which it does not check out is degraded
+// on the spot — its checksums cannot be trusted to mean "current", only
+// Rebuild reinstates it.
+//
+// A superblock newer than the winner was rejected. Its slot is overwritten
+// with the winner and synced before Open returns: the next commit reuses
+// the rejected group's tracks and epoch, and a crash inside it must not let
+// the rejected group check out again.
 func (s *Store) recoverLocked() error {
 	nArms := s.tm.Replicas()
-	var best superblock
-	found := false
-	armEpoch := make([]uint64, nArms)
-	armValid := make([]bool, nArms)
+	type slotCopy struct {
+		sb  superblock
+		raw string // the encoded superblock: copies with equal raw are one superblock
+		arm int
+	}
+	var copies []slotCopy
 	for ri := 0; ri < nArms; ri++ {
 		for slot := uint32(0); slot < 2; slot++ {
 			payload, err := s.tm.ReadTrackReplica(ri, slot)
@@ -358,31 +415,54 @@ func (s *Store) recoverLocked() error {
 			if !ok {
 				continue
 			}
-			if !armValid[ri] || sb.meta.Epoch > armEpoch[ri] {
-				armEpoch[ri] = sb.meta.Epoch
-				armValid[ri] = true
-			}
-			if !found || sb.meta.Epoch > best.meta.Epoch {
-				best, found = sb, true
-			}
+			copies = append(copies, slotCopy{sb, string(payload[:superLen]), ri})
 		}
 	}
-	if !found {
-		// A common cause is opening with a different track size than the
-		// database was created with: the superblock sits at a fixed offset,
-		// so read it raw to produce an actionable error.
-		if stored, ok := s.probeStoredTrackSize(); ok && stored != uint32(s.opts.TrackSize) {
-			return fmt.Errorf("store: database was created with track size %d, opened with %d", stored, s.opts.TrackSize)
+	sort.SliceStable(copies, func(a, b int) bool { return copies[a].sb.meta.Epoch > copies[b].sb.meta.Epoch })
+	var best superblock
+	var arms []int // the arms on which best checks out
+	tried := make(map[string]bool)
+	for _, c := range copies {
+		if tried[c.raw] {
+			continue
+		}
+		tried[c.raw] = true
+		var holders []int
+		for _, o := range copies {
+			if o.raw == c.raw && (len(holders) == 0 || holders[len(holders)-1] != o.arm) {
+				holders = append(holders, o.arm)
+			}
+		}
+		if arms = s.tm.groupHolders(holders, c.sb.groupFirst, c.sb.nTracks, c.sb.groupSum); len(arms) > 0 {
+			best = c.sb
+			break
+		}
+	}
+	if len(arms) == 0 {
+		if err := s.storedFormatError(); err != nil {
+			return err
 		}
 		return errors.New("store: no valid superblock; database unrecoverable")
 	}
-	s.meta = best.meta
-	s.super = best.slot
+	kept := make([]bool, nArms)
+	for _, ri := range arms {
+		kept[ri] = true
+	}
 	for ri := 0; ri < nArms; ri++ {
-		if !armValid[ri] || armEpoch[ri] < best.meta.Epoch {
-			_ = s.tm.DegradeReplica(ri, fmt.Sprintf("store: superblock epoch %d behind committed %d; arm missed safe-writes", armEpoch[ri], best.meta.Epoch))
+		if !kept[ri] {
+			_ = s.tm.DegradeReplica(ri, fmt.Sprintf("store: the superblock of committed epoch %d does not check out on this arm; arm missed safe-writes", best.meta.Epoch))
 		}
 	}
+	var rejected [2]bool
+	for _, c := range copies {
+		if kept[c.arm] && c.sb.meta.Epoch > best.meta.Epoch {
+			rejected[c.sb.slot] = true
+		}
+	}
+	s.meta = best.meta
+	s.super = best.slot
+	s.dirTrackPending = best.dirTrack
+	s.group = groupSum{first: best.groupFirst, next: best.nTracks, sum: best.groupSum}
 	// Trust the committed high-water mark, not the file size: tracks past it
 	// are debris from an interrupted commit and may be overwritten.
 	s.tm.mu.Lock()
@@ -396,6 +476,14 @@ func (s *Store) recoverLocked() error {
 			return err
 		}
 		s.pageTracks = tracks
+	}
+	for slot := uint32(0); slot < 2; slot++ {
+		if rejected[slot] {
+			s.super = 1 - slot // writeSuperblockLocked writes the other slot
+			if err := s.writeSuperblockLocked(); err != nil {
+				return fmt.Errorf("store: overwrite rejected superblock in slot %d: %w", slot, err)
+			}
+		}
 	}
 	return nil
 }
@@ -422,22 +510,35 @@ func (s *Store) readDirectoryChain(first uint32, nPages int) ([]uint32, error) {
 	return tracks, nil
 }
 
-// probeStoredTrackSize reads the raw head of the primary replica and pulls
-// the track size recorded in superblock slot 0, bypassing checksums.
-func (s *Store) probeStoredTrackSize() (uint32, bool) {
+// ErrOldFormat reports a database written in the superblock layout from
+// before commit-group checksums. It is refused, not converted.
+var ErrOldFormat = errors.New("store: superblock format GSUP, from before commit-group checksums, is no longer read (this build reads GSU2): open the database with a build from before that change, or create a new database")
+
+// storedFormatError reads the raw head of the primary replica, bypassing
+// checksums, and names why no superblock parsed when the cause is a format
+// the database was not opened with: the earlier superblock layout, or a
+// different track size. It returns nil when it cannot tell.
+func (s *Store) storedFormatError() error {
 	s.tm.mu.Lock()
 	defer s.tm.mu.Unlock()
 	if len(s.tm.arms) == 0 {
-		return 0, false
+		return nil
 	}
 	buf := make([]byte, trackHeaderLen+superLen)
 	if _, err := s.tm.arms[0].f.ReadAt(buf, 0); err != nil {
-		return 0, false
+		return nil
 	}
-	if getU32(buf[trackHeaderLen:]) != superMagic {
-		return 0, false
+	switch getU32(buf[trackHeaderLen:]) {
+	case superMagicUngrouped:
+		return ErrOldFormat
+	case superMagic:
+		// The superblock sits at a fixed offset, so a database opened with
+		// a different track size shows its own here.
+		if stored := getU32(buf[trackHeaderLen+48:]); stored != uint32(s.opts.TrackSize) {
+			return fmt.Errorf("store: database was created with track size %d, opened with %d", stored, s.opts.TrackSize)
+		}
 	}
-	return getU32(buf[trackHeaderLen+48:]), true
+	return nil
 }
 
 // Meta returns the durable metadata of the last committed state.
@@ -596,6 +697,9 @@ func (s *Store) Apply(c Commit) error {
 	s.scratch.buf, s.scratch.places = buf, places
 	nData := (len(buf) + payload - 1) / payload
 	firstData := s.tm.Allocate(nData)
+	// The group starts at the first data track and takes every track this
+	// Apply allocates after it; each write run folds into its checksum.
+	s.group = groupSum{first: firstData, next: firstData}
 	writes := s.scratch.writes[:0]
 	for i := 0; i < nData; i++ {
 		lo := i * payload
@@ -609,7 +713,7 @@ func (s *Store) Apply(c Commit) error {
 	if err := s.failpoint("before-data"); err != nil {
 		return err
 	}
-	if err := s.tm.WriteRun(writes); err != nil {
+	if err := s.tm.writeGroupRun(writes, &s.group); err != nil {
 		return err
 	}
 	if err := s.failpoint("after-data"); err != nil {
@@ -761,7 +865,7 @@ func (s *Store) Apply(c Commit) error {
 		writes = append(writes, TrackWrite{Track: tr, Payload: raw})
 	}
 	s.scratch.writes = writes
-	if err := s.tm.WriteRun(writes); err != nil {
+	if err := s.tm.writeGroupRun(writes, &s.group); err != nil {
 		return err
 	}
 	if err := s.failpoint("after-table"); err != nil {
@@ -793,7 +897,7 @@ func (s *Store) Apply(c Commit) error {
 			writes = append(writes, TrackWrite{Track: firstDir + uint32(i), Payload: raw})
 		}
 		s.scratch.writes = writes
-		if err := s.tm.WriteRun(writes); err != nil {
+		if err := s.tm.writeGroupRun(writes, &s.group); err != nil {
 			return err
 		}
 		dirHead = firstDir
@@ -801,11 +905,10 @@ func (s *Store) Apply(c Commit) error {
 	if err := s.failpoint("after-directory"); err != nil {
 		return err
 	}
-	if err := s.tm.Sync(); err != nil {
-		return err
-	}
 
 	// --- Commit point: flip the superblock ---
+	// No Sync before it: the superblock names the group by checksum, and
+	// its own Sync makes the group durable with it.
 	newMeta := s.meta
 	newMeta.Epoch++
 	if c.Time > newMeta.LastTime {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/object"
+	"repro/internal/obs"
 	"repro/internal/oop"
 )
 
@@ -502,5 +504,154 @@ func TestSerializeStoreRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOneSyncPerApply pins the commit protocol's device cost: one Apply,
+// an Archive among them, costs exactly one TrackManager.Sync (the
+// store.syncs counter) and one Sync call on each arm.
+func TestOneSyncPerApply(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			arms := make([]*recFile, replicas)
+			s, err := Open(t.TempDir(), Options{
+				TrackSize: 1024, Replicas: replicas, Obs: reg,
+				OpenReplica: func(_ string, replica int) (ReplicaFile, error) {
+					arms[replica] = &recFile{}
+					return arms[replica], nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			big := object.New(oop.FromSerial(3), oop.FromSerial(2), 0, object.FormatBytes)
+			if err := big.SetBytes(1, bytes.Repeat([]byte("track "), 500)); err != nil {
+				t.Fatal(err)
+			}
+			steps := []func() error{
+				func() error {
+					return s.Apply(Commit{Objects: []*object.Object{namedObj(1, 3), namedObj(2, 5), big}, Root: oop.FromSerial(1), NextSerial: 4, Time: 1})
+				},
+				func() error {
+					return s.Apply(Commit{Objects: []*object.Object{namedObj(2, 8)}, NextSerial: 4, Time: 2})
+				},
+				func() error { return s.Archive(3, []oop.OOP{oop.FromSerial(1)}) },
+			}
+			for i, step := range steps {
+				before := reg.Snapshot().Counter("store.syncs")
+				armBefore := make([]int, replicas)
+				for ri, a := range arms {
+					armBefore[ri] = a.syncs()
+				}
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+				if got := reg.Snapshot().Counter("store.syncs") - before; got != 1 {
+					t.Errorf("commit %d: store.syncs rose by %d, want 1", i+1, got)
+				}
+				for ri, a := range arms {
+					if got := a.syncs() - armBefore[ri]; got != 1 {
+						t.Errorf("commit %d: arm %d synced %d times, want 1", i+1, ri, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRejectedSuperblockStaysRejected: a crash leaves the in-flight
+// group's superblock on disk without the group's first data track, so
+// recovery rejects it. Later, a write restores that track's bytes, as the
+// next commit reusing the group's tracks can. Reopening must still find
+// the acknowledged state: recovery overwrote the rejected slot before the
+// first Open returned, so the rolled-back group cannot check out again.
+func TestRejectedSuperblockStaysRejected(t *testing.T) {
+	c1 := Commit{Objects: []*object.Object{namedObj(1, 3)}, Root: oop.FromSerial(1), NextSerial: 2, Time: 1}
+	c2 := Commit{Objects: []*object.Object{namedObj(1, 6), namedObj(2, 4)}, NextSerial: 3, Time: 2}
+	run := record(t, nil, 1, []Commit{c1, c2})
+	var img []byte
+	var dropped crashOp
+	run.windows(t, nil, []Commit{c1, c2}, "two commits", func(win window) {
+		if win.inflight == nil || win.inflight.Time != c2.Time {
+			return
+		}
+		img = choice{"all but", 0}.apply(append([]byte(nil), win.cur[0]...), win.pending[0])
+		dropped = win.pending[0][0]
+	})
+	if img == nil {
+		t.Fatal("no window with the second commit in flight")
+	}
+	arm := &memFile{b: img}
+	reopen := func() *Store {
+		t.Helper()
+		s, err := openImage([]ReplicaFile{arm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := reopen()
+	if got := s.Meta().LastTime; got != c1.Time {
+		t.Fatalf("first recovery: LastTime %d, want %d (the superblock over an incomplete group must lose)", got, c1.Time)
+	}
+	s.Close()
+	if _, err := arm.WriteAt(dropped.data, dropped.off); err != nil {
+		t.Fatal(err)
+	}
+	s = reopen()
+	defer s.Close()
+	if got := s.Meta().LastTime; got != c1.Time {
+		t.Errorf("second recovery: LastTime %d, want %d: the rejected group came back", got, c1.Time)
+	}
+	if s.Exists(oop.FromSerial(2)) {
+		t.Error("second recovery: an object of the rolled-back group exists")
+	}
+}
+
+// TestOldFormatRefused: a database whose superblocks are in the layout
+// from before commit-group checksums fails Open with an error that names
+// the format change.
+func TestOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{TrackSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(Commit{Objects: []*object.Object{namedObj(1, 2)}, NextSerial: 2, Time: 1}); err != nil {
+		t.Fatal(err)
+	}
+	nTracks := s.TrackManager().Tracks()
+	s.Close()
+	// The earlier layout: magic "GSUP" | epoch | lastTime | nextSerial |
+	// root | nTracks | nPages | dirTrack | trackSize | crc over the rest.
+	tm, err := NewTrackManager(dir, 1024, 1, 8, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := uint32(0); slot < 2; slot++ {
+		b := make([]byte, 56)
+		putU32(b[0:], 0x50555347)
+		putU64(b[4:], uint64(slot+1))
+		putU64(b[12:], 1)
+		putU64(b[20:], 2)
+		putU64(b[28:], uint64(oop.Invalid))
+		putU32(b[36:], nTracks)
+		putU32(b[48:], 1024)
+		putU32(b[52:], crc32.ChecksumIEEE(b[:52]))
+		if err := tm.WriteTrack(slot, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, Options{TrackSize: 1024})
+	if !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("opening an old-layout database: %v, want ErrOldFormat", err)
+	}
+	if !strings.Contains(err.Error(), "GSUP") || !strings.Contains(err.Error(), "commit-group checksums") {
+		t.Errorf("error does not name the format change: %v", err)
 	}
 }

@@ -235,10 +235,18 @@ func (tm *TrackManager) ResetStats() {
 func (tm *TrackManager) WriteRun(writes []TrackWrite) error {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	return tm.writeRunLocked(writes)
+	return tm.writeRunLocked(writes, nil)
 }
 
-func (tm *TrackManager) writeRunLocked(writes []TrackWrite) error {
+// writeGroupRun is WriteRun for the tracks of a commit group: it also folds
+// each track's header checksum into g as it encodes the track.
+func (tm *TrackManager) writeGroupRun(writes []TrackWrite, g *groupSum) error {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	return tm.writeRunLocked(writes, g)
+}
+
+func (tm *TrackManager) writeRunLocked(writes []TrackWrite, g *groupSum) error {
 	sort.Slice(writes, func(i, j int) bool { return writes[i].Track < writes[j].Track })
 	active := tm.activeLocked()
 	if len(active) < tm.quorum {
@@ -264,6 +272,12 @@ func (tm *TrackManager) writeRunLocked(writes []TrackWrite) error {
 		sum := crc32.ChecksumIEEE(buf[trackHeaderLen:])
 		putU32(buf[0:], sum)
 		putU32(buf[4:], trackMagic)
+		if g != nil {
+			if w.Track != g.next {
+				return fmt.Errorf("store: commit group writes track %d, the group's next track is %d", w.Track, g.next)
+			}
+			g.fold(sum)
+		}
 		for _, ri := range active {
 			tm.seekLocked(tm.arms[ri], w.Track)
 		}
@@ -333,7 +347,7 @@ func (tm *TrackManager) WriteTrack(n uint32, payload []byte) error {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	tm.wbatch = append(tm.wbatch[:0], TrackWrite{Track: n, Payload: payload})
-	return tm.writeRunLocked(tm.wbatch)
+	return tm.writeRunLocked(tm.wbatch, nil)
 }
 
 // ReadTrack returns the payload of track n, trying active arms in order
